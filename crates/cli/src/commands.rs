@@ -67,7 +67,7 @@ USAGE:
                         [--characterize <design>]
       Load-test the serving layer per execution tier: closed-loop
       shard sweep, open-loop overload, energy audit, and (behavioural
-      tier) the sampled Spice audit lane. --workload approx sweeps the
+      tier) the sampled reference audit lane. --workload approx sweeps the
       approximate-match kinds instead (threshold, top-k, range: one
       closed point per kind plus the behavioural tier's open-loop
       sustained-rate gate); both runs the exact sweep then the

@@ -260,10 +260,6 @@ fn random_packed(state: &mut u64, width: usize) -> PackedQuery {
     PackedQuery::from_words(width, &words[..n.max(1)])
 }
 
-fn random_query(state: &mut u64, width: usize) -> Vec<bool> {
-    random_packed(state, width).to_bits()
-}
-
 /// Build a key-partitioned table: every stored word lives on the
 /// shard its own bit-pattern hashes to, so routed queries find their
 /// keys while scanning only `rows / shards` rows.
@@ -365,11 +361,11 @@ fn closed_loop(
                     let mut done = 0u64;
                     while Instant::now() < deadline {
                         let q = random_packed(&mut state, width);
-                        let submitted = match kind {
-                            RequestKind::Exact => client.submit_packed_routed(c as u32, q),
-                            _ => client.submit_kind(c as u32, q, kind, None),
+                        let shard = match kind {
+                            RequestKind::Exact => Some(client.route_packed(&q)),
+                            _ => None,
                         };
-                        match submitted {
+                        match client.submit_kind(c as u32, q, kind, shard) {
                             Ok(ticket) => {
                                 let _ = ticket.wait();
                                 done += 1;
@@ -458,9 +454,10 @@ fn energy_audit(
     let mut state = opts.seed ^ 0xA0D1;
     let mut worst = 0.0f64;
     for _ in 0..64 {
-        let q = random_query(&mut state, opts.width);
+        let q = random_packed(&mut state, opts.width);
+        let shard = Some(client.route_packed(&q));
         let resp = client
-            .submit_routed(0, q)
+            .submit_kind(0, q, RequestKind::Exact, shard)
             .expect("idle service")
             .wait()
             .expect("no deadline configured");
@@ -726,8 +723,9 @@ struct MixedRun {
 }
 
 /// Open-loop mixed read/write point at the largest shard count: 90%
-/// key-routed exact searches, 8% updates, 1% inserts, 1% deletes, all
-/// fire-and-forget. Writes address rows by a locally tracked
+/// key-routed exact searches, 8% updates, 1% inserts, 1% deletes, none
+/// awaited (searches go through the no-reply path; write tickets are
+/// dropped unread). Writes address rows by a locally tracked
 /// (approximate) table size — a stale index past the end is an
 /// `OutOfRange` no-op ack, exactly what a racing real client produces —
 /// and are priced by the calibrated 3-step program.
@@ -779,17 +777,21 @@ fn run_mixed_backend(
             } else if pick < 98 {
                 let row = split_mix64(&mut state) as usize % approx_rows.max(1);
                 let bits = random_packed(&mut state, opts.width).to_bits();
-                client.submit_update_noreply(1, row, TernaryWord::from_bits(&bits))
+                client
+                    .submit_update(1, row, TernaryWord::from_bits(&bits))
+                    .map(drop)
             } else if pick < 99 {
                 let bits = random_packed(&mut state, opts.width).to_bits();
-                let r = client.submit_insert_noreply(1, TernaryWord::from_bits(&bits));
+                let r = client
+                    .submit_insert(1, TernaryWord::from_bits(&bits))
+                    .map(drop);
                 if r.is_ok() {
                     approx_rows += 1;
                 }
                 r
             } else {
                 let row = split_mix64(&mut state) as usize % approx_rows.max(1);
-                let r = client.submit_delete_noreply(1, row);
+                let r = client.submit_delete(1, row).map(drop);
                 if r.is_ok() {
                     approx_rows = approx_rows.saturating_sub(1).max(1);
                 }

@@ -2,37 +2,44 @@
 //!
 //! Every query batch runs through one of two tiers:
 //!
-//! * **Spice** — the reference tier: per-row scalar evaluation over the
-//!   stored ternary words, exactly as the circuit would sequence it.
-//!   Row-by-row, branchy, honest.
+//! * **Spice** — the reference tier: the scalar reference walk, one row
+//!   at a time over the stored packed words (two-step classification
+//!   for exact search, [`ferrotcam::row_distance`] for threshold and
+//!   top-k, [`ferrotcam::row_in_windows`] for range). Despite the name
+//!   it runs no circuit simulation; it is the boolean oracle.
 //! * **Behavioural** — the throughput tier: a word-parallel bit-sliced
 //!   kernel ([`ferrotcam::BitSlices`]) that evaluates 64 rows per
 //!   machine word with `(query ^ value) & care` over pre-transposed
-//!   match planes. Same ternary semantics, orders of magnitude faster.
+//!   match planes, plus the block-scan Hamming and lane-packed range
+//!   kernels. Same ternary semantics, orders of magnitude faster.
 //!
-//! Both tiers execute against a [`SnapView`] — the immutable per-shard
-//! snapshot set a dispatcher captured for the batch — so online writes
-//! landing mid-batch can never tear a word under a running search.
-//! Each snapshot block already carries *both* representations (sliced
-//! planes for the fast tier, row-major packed words the reference tier
-//! walks scalar-fashion), so neither tier rebuilds anything per batch.
+//! The reference walk exists once: the Spice tier, [`reference_search`]
+//! and the service's audit lane all call it (the lane passes the
+//! service's [`SenseModel`] so threshold rows are classified by the
+//! analog sense decision). Both tiers execute a batch inline on the
+//! dispatcher thread that pulled it, shard by shard in plan order,
+//! against a [`SnapView`] — the immutable per-shard snapshot set the
+//! dispatcher captured for the batch — so online writes landing
+//! mid-batch can never tear a word under a running search. Each
+//! snapshot block already carries *both* representations (sliced
+//! planes for the fast tier, row-major packed words for the reference
+//! walk), so neither tier rebuilds anything per batch.
 //!
 //! Both tiers return identical [`SearchOutcome`]s (global ids, sorted)
 //! and both charge the *same* modelled silicon schedule and the same
 //! SPICE-calibrated energy — the fast tier changes how the answer is
 //! computed, never what is attributed to it. That claim is not taken on
 //! faith: the service's sampled audit lane replays a deterministic
-//! fraction of accepted behavioural queries on the Spice tier against
-//! the *same captured view* and compares match sets bit-for-bit and
-//! energies within a pinned tolerance ([`audit_compare`]).
+//! fraction of accepted behavioural queries through the reference walk
+//! against the *same captured view* and compares match sets bit-for-bit
+//! and energies within a pinned tolerance ([`audit_compare`]).
 
 use crate::batch;
 use crate::request::RequestKind;
 use crate::shard::SnapView;
-use ferrotcam::approx::{query_levels, threshold_search, top_k_chunked, word_windows};
-use ferrotcam::{ApproxHit, PackedQuery, SearchOutcome};
+use ferrotcam::approx::{threshold_search, top_k_chunked};
+use ferrotcam::{row_distance, row_in_windows, ApproxHit, PackedQuery, SearchOutcome, SenseModel};
 use ferrotcam_arch::sched::ScheduleOutcome;
-use ferrotcam_spice::parallel::par_map;
 
 /// Which execution tier answers a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,9 +116,10 @@ pub trait ExecBackend: Send + Sync + std::fmt::Debug {
     /// dispatcher uses it when the configured `max_batch` is 0).
     fn preferred_batch(&self) -> usize;
 
-    /// Execute one batch against a captured snapshot view. `jobs` is
-    /// the worker-pool width, `t_bank` the modelled per-bank busy time
-    /// (s) for a unit-cost query.
+    /// Execute one batch against a captured snapshot view, inline on
+    /// the calling thread. `jobs` is unused (kept so existing callers
+    /// compile); `t_bank` is the modelled per-bank busy time (s) for a
+    /// unit-cost query.
     fn execute(
         &self,
         view: &SnapView,
@@ -154,134 +162,107 @@ fn finalize_job(kind: RequestKind, outcome: &mut SearchOutcome, hits: &mut Vec<A
     }
 }
 
-/// The reference (naive, circuit-order) answer for one job on one
-/// shard: row-by-row distance / window evaluation over the stored
-/// ternary words (reconstructed scalar-fashion from the packed rows,
-/// never through the sliced planes the fast tier uses), with global
-/// row ids.
+/// The reference walk for one job on one shard: a scalar row-by-row
+/// pass over the snapshot's packed words, never through the sliced
+/// planes or block-scan kernels the fast tier uses, with global row ids.
+/// Exact search runs the two-step row classification of
+/// [`ferrotcam::PackedRows::search`]; threshold and top-k rank rows by
+/// [`row_distance`]; range tests [`row_in_windows`]. With a `sense`
+/// model a threshold row is accepted iff its modelled match-line
+/// discharge falls *after* the threshold's sense point — the analog
+/// sense amplifier's decision, which sits strictly between the `t` and
+/// `t+1` discharge curves and so nominally equals the digital
+/// `d <= t` rule used without one.
 ///
 /// # Panics
 /// Panics on an out-of-range shard, a query-width mismatch, or a write
 /// kind (writes never reach the search backends).
-fn naive_shard_answer(
+fn reference_shard(
     view: &SnapView,
     s: usize,
     kind: RequestKind,
     query: &PackedQuery,
+    sense: Option<&SenseModel>,
 ) -> ShardAnswer {
     let snap = view.shard(s);
-    match kind {
-        RequestKind::Exact => {
-            // Row-serial two-step classification over the packed words
-            // — same circuit order as before, independent of the
-            // sliced-plane kernel.
-            let mut outcome = SearchOutcome::empty();
-            for (base, blk) in snap.blocks() {
-                let mut o = blk.packed().search(query);
+    let accept = |d: u32, t: u32| match sense {
+        Some(model) => model.discharge_time(d) > model.sense_time(t),
+        None => d <= t,
+    };
+    let mut outcome = SearchOutcome::empty();
+    let mut hits = Vec::new();
+    for (base, blk) in snap.blocks() {
+        let p = blk.packed();
+        match kind {
+            RequestKind::Exact => {
+                let mut o = p.search(query);
                 for m in &mut o.matches {
                     *m = view.global_row(s, base + *m);
                 }
                 outcome.absorb(o);
             }
-            ShardAnswer {
-                outcome,
-                hits: Vec::new(),
-            }
-        }
-        RequestKind::Threshold { t } => {
-            let bits = query.to_bits();
-            let mut outcome = SearchOutcome::empty();
-            let mut hits = Vec::new();
-            for (base, blk) in snap.blocks() {
-                for l in 0..blk.len() {
-                    let word = blk.packed().row_word(l);
-                    let d = u32::try_from(word.mismatch_count(&bits)).expect("distance fits u32");
-                    if d <= t {
-                        let g = view.global_row(s, base + l);
-                        outcome.matches.push(g);
-                        hits.push(ApproxHit {
-                            row: g,
-                            distance: d,
-                        });
+            RequestKind::Threshold { t } => {
+                for l in 0..p.rows() {
+                    let d = row_distance(p, l, query);
+                    if accept(d, t) {
+                        let row = view.global_row(s, base + l);
+                        outcome.matches.push(row);
+                        hits.push(ApproxHit { row, distance: d });
                     } else {
                         outcome.step1_misses += 1;
                     }
                 }
             }
-            ShardAnswer { outcome, hits }
-        }
-        RequestKind::TopK { k } => {
-            let bits = query.to_bits();
-            // Global ids preserve the shard-local (distance, row)
-            // order, so the local selection is already globally fair.
-            let mut hits = Vec::with_capacity(snap.rows());
-            for (base, blk) in snap.blocks() {
-                for l in 0..blk.len() {
-                    let word = blk.packed().row_word(l);
-                    hits.push(ApproxHit {
-                        row: view.global_row(s, base + l),
-                        distance: u32::try_from(word.mismatch_count(&bits))
-                            .expect("distance fits u32"),
-                    });
-                }
+            // Every examined row counts as a step-1 miss until the
+            // merge picks the winners.
+            RequestKind::TopK { .. } => {
+                outcome.step1_misses += p.rows();
+                hits.extend((0..p.rows()).map(|l| ApproxHit {
+                    row: view.global_row(s, base + l),
+                    distance: row_distance(p, l, query),
+                }));
             }
-            hits.sort_unstable();
-            hits.truncate(k);
-            ShardAnswer {
-                outcome: SearchOutcome {
-                    matches: Vec::new(),
-                    step1_misses: snap.rows(),
-                    step2_misses: 0,
-                },
-                hits,
-            }
-        }
-        RequestKind::Range => {
-            let levels = query_levels(query);
-            let mut outcome = SearchOutcome::empty();
-            for (base, blk) in snap.blocks() {
-                for l in 0..blk.len() {
-                    let word = blk.packed().row_word(l);
-                    let in_window = word_windows(&word)
-                        .iter()
-                        .zip(&levels)
-                        .all(|(&(lo, hi), &q)| lo <= q && q <= hi);
-                    if in_window {
+            RequestKind::Range => {
+                for l in 0..p.rows() {
+                    if row_in_windows(p, l, query) {
                         outcome.matches.push(view.global_row(s, base + l));
                     } else {
                         outcome.step1_misses += 1;
                     }
                 }
             }
-            ShardAnswer {
-                outcome,
-                hits: Vec::new(),
-            }
+            _ => unreachable!("write kinds never reach the search backends"),
         }
-        _ => unreachable!("write kinds never reach the search backends"),
     }
+    // Global ids preserve the shard-local (distance, row) order, so the
+    // shard's own top-k is already globally fair.
+    if let RequestKind::TopK { k } = kind {
+        hits.sort_unstable();
+        hits.truncate(k);
+    }
+    ShardAnswer { outcome, hits }
 }
 
-/// The full reference answer for one request: naive per-shard
-/// evaluation over `target` (or a fan-out over every shard), merged
-/// and finalized exactly like a served batch. The audit lane replays
-/// sampled behavioural answers through this, against the same captured
-/// view the fast tier answered from.
-#[must_use]
-pub fn reference_search(
+/// The reference answer for one request over `target` (or a fan-out
+/// over every shard), merged and finalized exactly like a served batch.
+/// The audit lane replays sampled behavioural answers through this with
+/// the service's sense model, against the same captured view the fast
+/// tier answered from.
+pub(crate) fn reference_answer(
     view: &SnapView,
     kind: RequestKind,
     query: &PackedQuery,
     target: Option<usize>,
+    sense: Option<&SenseModel>,
 ) -> (SearchOutcome, Vec<ApproxHit>) {
     let mut outcome = SearchOutcome::empty();
     let mut hits = Vec::new();
-    let shards: Vec<usize> = match target {
-        Some(s) => vec![s],
-        None => (0..view.shard_count()).collect(),
+    let shards = match target {
+        Some(s) => s..s + 1,
+        None => 0..view.shard_count(),
     };
     for s in shards {
-        let ans = naive_shard_answer(view, s, kind, query);
+        let ans = reference_shard(view, s, kind, query, sense);
         outcome.absorb(ans.outcome);
         hits.extend(ans.hits);
     }
@@ -289,27 +270,34 @@ pub fn reference_search(
     (outcome, hits)
 }
 
+/// The reference answer for one request over `target` (or a fan-out
+/// over every shard): the scalar reference walk, merged and finalized
+/// exactly like a served batch, with threshold rows accepted by the
+/// digital `d <= t` rule.
+#[must_use]
+pub fn reference_search(
+    view: &SnapView,
+    kind: RequestKind,
+    query: &PackedQuery,
+    target: Option<usize>,
+) -> (SearchOutcome, Vec<ApproxHit>) {
+    reference_answer(view, kind, query, target, None)
+}
+
 /// Shared plan/execute/merge skeleton of both tiers: `search(s, j)`
-/// answers job `j` on shard `s` with *global* match ids.
-fn run_plan<F>(
-    shards: usize,
-    spec: &BatchSpec<'_>,
-    jobs: usize,
-    t_bank: f64,
-    search: F,
-) -> ExecResult
+/// answers job `j` on shard `s` with *global* match ids. Runs inline on
+/// the calling thread, shard by shard in plan order.
+fn run_plan<F>(shards: usize, spec: &BatchSpec<'_>, t_bank: f64, search: F) -> ExecResult
 where
-    F: Fn(usize, usize) -> ShardAnswer + Sync,
+    F: Fn(usize, usize) -> ShardAnswer,
 {
     let plan = batch::plan(spec.targets, shards);
-    let per_shard: Vec<Vec<(usize, ShardAnswer)>> = par_map(&plan.per_shard, jobs, |s, list| {
-        list.iter().map(|&j| (j, search(s, j))).collect()
-    });
     let n = spec.targets.len();
     let mut outcomes: Vec<SearchOutcome> = (0..n).map(|_| SearchOutcome::empty()).collect();
     let mut hits: Vec<Vec<ApproxHit>> = (0..n).map(|_| Vec::new()).collect();
-    for shard_results in per_shard {
-        for (j, ans) in shard_results {
+    for (s, list) in plan.per_shard.iter().enumerate() {
+        for &j in list {
+            let ans = search(s, j);
             outcomes[j].absorb(ans.outcome);
             hits[j].extend(ans.hits);
         }
@@ -344,11 +332,11 @@ impl ExecBackend for SpiceBackend {
         &self,
         view: &SnapView,
         spec: &BatchSpec<'_>,
-        jobs: usize,
+        _jobs: usize,
         t_bank: f64,
     ) -> ExecResult {
-        run_plan(view.shard_count(), spec, jobs, t_bank, |s, j| {
-            naive_shard_answer(view, s, spec.kinds[j], &spec.queries[j])
+        run_plan(view.shard_count(), spec, t_bank, |s, j| {
+            reference_shard(view, s, spec.kinds[j], &spec.queries[j], None)
         })
     }
 }
@@ -376,10 +364,10 @@ impl ExecBackend for BehaviouralBackend {
         &self,
         view: &SnapView,
         spec: &BatchSpec<'_>,
-        jobs: usize,
+        _jobs: usize,
         t_bank: f64,
     ) -> ExecResult {
-        run_plan(view.shard_count(), spec, jobs, t_bank, |s, j| {
+        run_plan(view.shard_count(), spec, t_bank, |s, j| {
             let q = &spec.queries[j];
             let snap = view.shard(s);
             match spec.kinds[j] {
@@ -491,15 +479,12 @@ pub fn audit_compare(
     ref_energy: Option<f64>,
     tolerance: f64,
 ) -> AuditVerdict {
-    if fast.matches != reference.matches
+    let counters_differ = fast.matches != reference.matches
         || fast.step1_misses != reference.step1_misses
-        || fast.step2_misses != reference.step2_misses
-    {
-        return AuditVerdict {
-            match_divergence: true,
-            energy_divergence: false,
-            energy_rel: 0.0,
-            detail: Some(format!(
+        || fast.step2_misses != reference.step2_misses;
+    if counters_differ || fast_hits != ref_hits {
+        let detail = if counters_differ {
+            format!(
                 "match sets diverged: fast {}m/{}s1/{}s2 vs ref {}m/{}s1/{}s2",
                 fast.matches.len(),
                 fast.step1_misses,
@@ -507,42 +492,37 @@ pub fn audit_compare(
                 reference.matches.len(),
                 reference.step1_misses,
                 reference.step2_misses,
-            )),
+            )
+        } else {
+            format!(
+                "ranked hits diverged: fast {} hits vs ref {} hits",
+                fast_hits.len(),
+                ref_hits.len(),
+            )
         };
-    }
-    if fast_hits != ref_hits {
         return AuditVerdict {
             match_divergence: true,
             energy_divergence: false,
             energy_rel: 0.0,
-            detail: Some(format!(
-                "ranked hits diverged: fast {} hits vs ref {} hits",
-                fast_hits.len(),
-                ref_hits.len(),
-            )),
+            detail: Some(detail),
         };
     }
     let energy_rel = match (fast_energy, ref_energy) {
         (Some(a), Some(b)) => (a - b).abs() / b.abs().max(1e-300),
         _ => 0.0,
     };
-    if energy_rel > tolerance {
-        return AuditVerdict {
-            match_divergence: false,
-            energy_divergence: true,
-            energy_rel,
-            detail: Some(format!(
+    let energy_divergence = energy_rel > tolerance;
+    AuditVerdict {
+        match_divergence: false,
+        energy_divergence,
+        energy_rel,
+        detail: energy_divergence.then(|| {
+            format!(
                 "energy diverged: fast {:.6e} J vs ref {:.6e} J (rel {energy_rel:.3e} > tol {tolerance:.1e})",
                 fast_energy.unwrap_or(0.0),
                 ref_energy.unwrap_or(0.0),
-            )),
-        };
-    }
-    AuditVerdict {
-        match_divergence: false,
-        energy_divergence: false,
-        energy_rel,
-        detail: None,
+            )
+        }),
     }
 }
 
@@ -624,10 +604,11 @@ mod tests {
 
     #[test]
     fn tiers_agree_on_mixed_kind_batches() {
-        // Every request kind, fan-out and pinned, on both even widths
-        // (range mode needs an even width; random bit queries are valid
-        // level queries too, since any 2-bit pattern is a level 0..=3).
-        for width in [8usize, 64] {
+        // Every request kind, fan-out and pinned, on even widths up to a
+        // two-word row (range mode needs an even width; random bit
+        // queries are valid level queries too, since any 2-bit pattern
+        // is a level 0..=3).
+        for width in [8usize, 64, 128] {
             let t = view(&table(160, 4, width));
             let behav = BehaviouralBackend;
             let spice = SpiceBackend;
@@ -670,6 +651,28 @@ mod tests {
                 if let RequestKind::TopK { k } = kinds[j] {
                     assert!(b.hits[j].len() <= k);
                     assert!(b.hits[j].windows(2).all(|w| w[0] < w[1]));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sense_classified_threshold_equals_the_digital_rule() {
+        // The sense point sits strictly between the `t` and `t+1`
+        // discharge curves, so the analog decision must accept exactly
+        // the rows with `d <= t`, at every threshold the width allows.
+        let model = SenseModel::analytic(231e-12);
+        for width in [16usize, 64, 100] {
+            let t = view(&table(120, 3, width));
+            let mut seed = 0x5e75_e000 ^ width as u64;
+            for i in 0..4 {
+                let q = rand_query(width, &mut seed);
+                let target = if i % 2 == 0 { None } else { Some(i % 3) };
+                for thr in 0..=width as u32 {
+                    let kind = RequestKind::Threshold { t: thr };
+                    let sensed = reference_answer(&t, kind, &q, target, Some(&model));
+                    let digital = reference_search(&t, kind, &q, target);
+                    assert_eq!(sensed, digital, "width {width} t {thr}");
                 }
             }
         }

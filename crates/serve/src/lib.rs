@@ -12,23 +12,29 @@
 //! ([`queue`]), get coalesced into per-bank batches ([`batch`]) by
 //! per-shard work-stealing dispatchers, execute on copy-on-write shard
 //! snapshots ([`shard`]) through a tiered execution backend
-//! ([`backend`]) — the circuit-order Spice tier or the bit-parallel
-//! behavioural tier with a sampled Spice audit lane — over the
-//! `spice::parallel` worker pool, and come back with the exact
-//! Table IV early-termination energy the search would have burned in
-//! silicon. Writes (insert / delete / update) publish fresh per-shard
-//! snapshots behind an epoch counter, so an in-flight search can never
-//! observe a torn word, and are priced by the calibrated 3-step
-//! program. Load beyond capacity is shed with typed [`Overloaded`]
-//! errors instead of growing queues without bound (and, with a
-//! configured deadline, queries whose SLO already expired are shed at
-//! dispatch), and a [`ServiceMetrics`] snapshot (latency percentiles,
-//! queue depth, batch sizes, shed counts, step-1 early-termination
-//! rate) exports as JSON at any time.
+//! ([`backend`]) — the scalar reference walk or the bit-parallel
+//! behavioural tier with a sampled audit lane that replays answers
+//! through that same walk — inline on the dispatcher thread that pulled
+//! the batch, and come back with the exact Table IV early-termination
+//! energy the search would have burned in silicon. Writes (insert /
+//! delete / update) publish fresh per-shard snapshots behind an epoch
+//! counter, so an in-flight search can never observe a torn word, and
+//! are priced by the calibrated 3-step program. Load beyond capacity is
+//! shed with typed [`Overloaded`] errors instead of growing queues
+//! without bound (and, with a configured deadline, queries whose SLO
+//! already expired are shed at dispatch), and a [`ServiceMetrics`]
+//! snapshot (latency percentiles, queue depth, batch sizes, shed
+//! counts, step-1 early-termination rate) exports as JSON at any time.
+//!
+//! Clients submit through five calls: [`ServiceClient::submit_kind`]
+//! (any search kind, fanned out or pinned to a shard),
+//! [`ServiceClient::submit_noreply_kind`] (the same without a reply),
+//! and [`ServiceClient::submit_insert`] / [`ServiceClient::submit_update`]
+//! / [`ServiceClient::submit_delete`] for writes.
 //!
 //! ```
-//! use ferrotcam_serve::{ServiceConfig, ShardedTcam, TcamService};
-//! use ferrotcam::TernaryWord;
+//! use ferrotcam::{PackedQuery, TernaryWord};
+//! use ferrotcam_serve::{RequestKind, ServiceConfig, ShardedTcam, TcamService};
 //!
 //! let mut table = ShardedTcam::new(8, 2);
 //! for i in 0..16u64 {
@@ -36,14 +42,20 @@
 //! }
 //! let service = TcamService::start(table, &ServiceConfig::default());
 //! let client = service.client();
-//! let query = vec![false, false, false, false, false, true, false, true];
-//! let response = client.submit(0, query, None)?.wait().expect("answered");
+//! let query = PackedQuery::from_u64(5, 8);
+//! let response = client
+//!     .submit_kind(0, query, RequestKind::Exact, None)?
+//!     .wait()
+//!     .expect("answered");
 //! assert_eq!(response.matches, vec![5]);
 //! // Online write: program a new word, then find it.
 //! let ack = client.submit_insert(0, TernaryWord::from_u64(0xAB, 8))?.wait();
 //! let slot = ack.expect("answered").matches[0];
-//! let probe: Vec<bool> = (0..8).rev().map(|b| (0xABu64 >> b) & 1 == 1).collect();
-//! let hit = client.submit(0, probe, None)?.wait().expect("answered");
+//! let probe = PackedQuery::from_u64(0xAB, 8);
+//! let hit = client
+//!     .submit_kind(0, probe, RequestKind::Exact, None)?
+//!     .wait()
+//!     .expect("answered");
 //! assert_eq!(hit.matches, vec![slot]);
 //! let metrics = service.drain();
 //! assert_eq!(metrics.completed, 3);

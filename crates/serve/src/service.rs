@@ -12,11 +12,12 @@
 //!                                                         │
 //!                            deadline shed ◀──────────────┤
 //!                                                         │
-//!                             ExecBackend (spice | behav) over the view
+//!          ExecBackend (spice | behav) over the view, shard by shard,
+//!                  inline on the dispatcher thread ───────┤
 //!                                                         │
 //!                            merge + energy/latency attribution
 //!                                                         │
-//!                            sampled audit replay (same view) ◀─┤
+//!      sampled audit replay (reference walk, same view) ◀─┤
 //!                                                         │
 //!                                              tickets resolve ◀┘
 //! ```
@@ -31,7 +32,9 @@
 //! epoch per touched shard), then captures a [`crate::shard::SnapView`]
 //! and executes every search of the batch against that immutable view
 //! — a search can observe the table before or after any write, never a
-//! torn word. Writes are priced by the calibrated 3-step program
+//! torn word. The dispatcher runs the batch itself, one shard after
+//! another: there is no worker pool and no thread is spawned per
+//! batch. Writes are priced by the calibrated 3-step program
 //! ([`ferrotcam::RowWriteMetrics`]); searches charge their modelled
 //! bank wait (from `arch::sched`) and silicon energy (from the
 //! attached `core::fom` metrics).
@@ -45,12 +48,13 @@
 //! Queries answered on the behavioural tier pass through a **sampled
 //! audit lane**: a deterministic 1-in-`audit_period` subset (SplitMix64
 //! over a per-dispatcher accept counter, so the sample is reproducible
-//! and ungameable by arrival order) is replayed on the Spice tier
-//! *against the same captured view* the fast tier answered from —
-//! exact under concurrent writes by construction. Match sets must be
-//! bit-identical and energies must agree within `audit_tolerance`;
-//! divergences are counted in [`ServiceMetrics`] and emitted as typed
-//! `spice::trace` audit events.
+//! and ungameable by arrival order) is replayed through the walk
+//! behind [`crate::backend::reference_search`], given the service's
+//! sense model, *against the same captured view* the fast tier
+//! answered from — exact under concurrent writes by construction.
+//! Match sets must be bit-identical and energies must agree within
+//! `audit_tolerance`; divergences are counted in [`ServiceMetrics`] and
+//! emitted as typed `spice::trace` audit events.
 //!
 //! Shutdown is a *drain*: new submissions are refused with
 //! [`Overloaded::ShuttingDown`] while every request already accepted
@@ -61,7 +65,7 @@
 
 use crate::admission::{Admission, Overloaded, RatePolicy, TenantId};
 use crate::backend::{
-    audit_compare, reference_search, BackendKind, BatchSpec, BehaviouralBackend, ExecBackend,
+    audit_compare, reference_answer, BackendKind, BatchSpec, BehaviouralBackend, ExecBackend,
     ExecResult, SpiceBackend,
 };
 use crate::drain::DrainGate;
@@ -70,11 +74,7 @@ use crate::queue::BoundedQueue;
 use crate::request::{AdmissionClass, RequestKind};
 use crate::shard::{hash_packed, LiveTable, ShardedTcam, SnapView, WriteAck, WriteOp};
 use crate::sync::{self, AtomicUsize, Ordering};
-use ferrotcam::{
-    levels_to_query, program_duration, row_distance, row_in_windows, ApproxHit, PackedQuery,
-    SearchOutcome, SenseModel, TernaryWord,
-};
-use ferrotcam_spice::parallel::default_jobs;
+use ferrotcam::{program_duration, ApproxHit, PackedQuery, SearchOutcome, SenseModel, TernaryWord};
 use ferrotcam_spice::trace::{self, TraceLevel};
 use rand::split_mix64;
 use std::sync::{mpsc, Arc};
@@ -91,9 +91,6 @@ pub struct ServiceConfig {
     /// Most queries the dispatcher coalesces into one batch; 0 means
     /// the backend's preferred batch size.
     pub max_batch: usize,
-    /// Worker threads for the per-bank batch execution; 0 means the
-    /// `spice::parallel` default (`FERROTCAM_JOBS` or the core count).
-    pub jobs: usize,
     /// Rate policy for tenants without an explicit one (exact traffic).
     pub default_policy: RatePolicy,
     /// Rate policy for a tenant's *approximate* traffic (threshold /
@@ -130,7 +127,6 @@ impl Default for ServiceConfig {
         Self {
             queue_capacity: 1024,
             max_batch: 64,
-            jobs: 0,
             default_policy: RatePolicy::unlimited(),
             approx_policy: RatePolicy::unlimited(),
             write_policy: RatePolicy::unlimited(),
@@ -228,7 +224,6 @@ struct Inner {
     /// across every queue and dispatcher.
     gate: DrainGate,
     max_batch: usize,
-    jobs: usize,
     t_bank: f64,
     /// Queries older than this at dispatch are shed unanswered.
     deadline: Option<Duration>,
@@ -236,22 +231,13 @@ struct Inner {
     /// one-step latency): feeds the batch planner's per-kind cost and
     /// the audit lane's sense-classified threshold reference.
     sense: Option<SenseModel>,
-    backend_kind: BackendKind,
-    spice: SpiceBackend,
-    behav: BehaviouralBackend,
+    backend: Box<dyn ExecBackend>,
     audit_period: u64,
     audit_tolerance: f64,
     audit_seed: u64,
 }
 
 impl Inner {
-    fn backend(&self) -> &dyn ExecBackend {
-        match self.backend_kind {
-            BackendKind::Behavioural => &self.behav,
-            BackendKind::Spice => &self.spice,
-        }
-    }
-
     /// Total backlog across every per-shard queue.
     fn queue_depth(&self) -> usize {
         self.queues.iter().map(BoundedQueue::len).sum()
@@ -265,56 +251,24 @@ pub struct ServiceClient {
 }
 
 impl ServiceClient {
-    /// Submit a query. `shard: None` fans out over every bank and
-    /// merges; `Some(s)` pins the query to bank `s` (key-partitioned
-    /// tables — see [`ServiceClient::submit_routed`]).
+    /// Submit a search of any kind over a packed query: exact match,
+    /// Hamming [`RequestKind::Threshold`] / [`RequestKind::TopK`]
+    /// search, or multi-bit [`RequestKind::Range`] match (the query
+    /// then carries one 2-digit level per cell, built with
+    /// [`ferrotcam::levels_to_query`]). `shard: None` fans the query out
+    /// over every bank and merges; `Some(s)` pins it to bank `s` — for a
+    /// key-partitioned table, the shard [`Self::route_packed`] names.
     ///
     /// # Errors
     /// Typed [`Overloaded`] sheds: draining, tenant throttled, or the
     /// bounded queue is full. Sheds are counted in the metrics.
-    ///
-    /// # Panics
-    /// Panics on query-width mismatch or out-of-range shard
-    /// (programmer errors, consistent with the core layer).
-    pub fn submit(
-        &self,
-        tenant: TenantId,
-        query: Vec<bool>,
-        shard: Option<usize>,
-    ) -> Result<Ticket, Overloaded> {
-        self.submit_packed(tenant, PackedQuery::from_bits(&query), shard)
-    }
-
-    /// [`Self::submit`] over an already bit-packed query — the
-    /// allocation-light hot path (no `Vec<bool>` unpacking anywhere).
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit`].
-    ///
-    /// # Panics
-    /// Panics on query-width mismatch or out-of-range shard.
-    pub fn submit_packed(
-        &self,
-        tenant: TenantId,
-        query: PackedQuery,
-        shard: Option<usize>,
-    ) -> Result<Ticket, Overloaded> {
-        self.submit_kind(tenant, query, RequestKind::Exact, shard)
-    }
-
-    /// Submit any request kind over a packed query: exact match,
-    /// Hamming [`RequestKind::Threshold`] / [`RequestKind::TopK`]
-    /// search, or multi-bit [`RequestKind::Range`] match (the query
-    /// then carries one 2-digit level per cell — see
-    /// [`ServiceClient::submit_range`]).
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit`]; approximate kinds are
-    /// admitted against the tenant's *approx* token bucket.
+    /// Approximate kinds are admitted against the tenant's *approx*
+    /// token bucket.
     ///
     /// # Panics
     /// Panics on query-width mismatch, out-of-range shard, or a range
-    /// request against an odd-width table.
+    /// request against an odd-width table (programmer errors,
+    /// consistent with the core layer).
     pub fn submit_kind(
         &self,
         tenant: TenantId,
@@ -327,17 +281,37 @@ impl ServiceClient {
         Ok(Ticket { rx })
     }
 
+    /// Fire-and-forget [`Self::submit_kind`]: the query runs and is
+    /// fully accounted in metrics and the audit lane, but no response
+    /// is delivered. This is the open-loop load-generation path — it
+    /// skips the per-request channel entirely.
+    ///
+    /// # Errors
+    /// Same sheds as [`Self::submit_kind`].
+    ///
+    /// # Panics
+    /// Same programmer errors as [`Self::submit_kind`].
+    pub fn submit_noreply_kind(
+        &self,
+        tenant: TenantId,
+        query: PackedQuery,
+        kind: RequestKind,
+        shard: Option<usize>,
+    ) -> Result<(), Overloaded> {
+        self.enqueue(tenant, query, kind, None, shard, None)
+    }
+
     /// Program `word` into a fresh row of the least-loaded shard. The
     /// response's `matches` carries the assigned global slot id.
     ///
     /// # Errors
-    /// Same sheds as [`ServiceClient::submit`]; writes are admitted
-    /// against the tenant's *write* token bucket.
+    /// Same sheds as [`Self::submit_kind`]; writes are admitted against
+    /// the tenant's *write* token bucket.
     ///
     /// # Panics
     /// Panics on a word-width mismatch.
     pub fn submit_insert(&self, tenant: TenantId, word: TernaryWord) -> Result<Ticket, Overloaded> {
-        self.submit_write(tenant, RequestKind::Insert, word, None)
+        self.submit_write(tenant, RequestKind::Insert, Some(word), None)
     }
 
     /// Re-program global row `row` with `word`. The response's
@@ -345,7 +319,7 @@ impl ServiceClient {
     /// was out of range.
     ///
     /// # Errors
-    /// Same sheds as [`ServiceClient::submit_insert`].
+    /// Same sheds as [`Self::submit_insert`].
     ///
     /// # Panics
     /// Panics on a word-width mismatch.
@@ -355,7 +329,7 @@ impl ServiceClient {
         row: usize,
         word: TernaryWord,
     ) -> Result<Ticket, Overloaded> {
-        self.submit_write(tenant, RequestKind::Update { row }, word, Some(row))
+        self.submit_write(tenant, RequestKind::Update { row }, Some(word), Some(row))
     }
 
     /// Retire global row `row` (slot-reuse delete: the shard's last
@@ -364,167 +338,32 @@ impl ServiceClient {
     /// and is empty when it was out of range.
     ///
     /// # Errors
-    /// Same sheds as [`ServiceClient::submit_insert`].
+    /// Same sheds as [`Self::submit_insert`].
     pub fn submit_delete(&self, tenant: TenantId, row: usize) -> Result<Ticket, Overloaded> {
-        let (tx, rx) = mpsc::channel();
-        self.enqueue_write(
-            tenant,
-            RequestKind::Delete { row },
-            None,
-            Some(row),
-            Some(tx),
-        )?;
-        Ok(Ticket { rx })
-    }
-
-    fn submit_write(
-        &self,
-        tenant: TenantId,
-        kind: RequestKind,
-        word: TernaryWord,
-        row: Option<usize>,
-    ) -> Result<Ticket, Overloaded> {
-        let (tx, rx) = mpsc::channel();
-        self.enqueue_write(tenant, kind, Some(word), row, Some(tx))?;
-        Ok(Ticket { rx })
-    }
-
-    /// Fire-and-forget insert (open-loop write load).
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_insert`].
-    pub fn submit_insert_noreply(
-        &self,
-        tenant: TenantId,
-        word: TernaryWord,
-    ) -> Result<(), Overloaded> {
-        self.enqueue_write(tenant, RequestKind::Insert, Some(word), None, None)
-    }
-
-    /// Fire-and-forget update (open-loop write load).
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_insert`].
-    pub fn submit_update_noreply(
-        &self,
-        tenant: TenantId,
-        row: usize,
-        word: TernaryWord,
-    ) -> Result<(), Overloaded> {
-        self.enqueue_write(
-            tenant,
-            RequestKind::Update { row },
-            Some(word),
-            Some(row),
-            None,
-        )
-    }
-
-    /// Fire-and-forget delete (open-loop write load).
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_insert`].
-    pub fn submit_delete_noreply(&self, tenant: TenantId, row: usize) -> Result<(), Overloaded> {
-        self.enqueue_write(tenant, RequestKind::Delete { row }, None, Some(row), None)
+        self.submit_write(tenant, RequestKind::Delete { row }, None, Some(row))
     }
 
     /// Shared write-submission path: row-addressed writes queue on
     /// their row's shard (dispatch affinity — any dispatcher may still
     /// steal them), inserts round-robin like fan-out queries.
-    fn enqueue_write(
+    fn submit_write(
         &self,
         tenant: TenantId,
         kind: RequestKind,
         word: Option<TernaryWord>,
         row: Option<usize>,
-        tx: Option<mpsc::Sender<SearchResponse>>,
-    ) -> Result<(), Overloaded> {
+    ) -> Result<Ticket, Overloaded> {
         let shard = row.map(|r| r % self.inner.table.shard_count());
-        self.enqueue(tenant, PackedQuery::from_bits(&[]), kind, word, shard, tx)
-    }
-
-    /// All rows within Hamming distance `t` of `query` (wildcarded
-    /// cells never mismatch), with per-row distances in the response's
-    /// `hits`.
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_kind`].
-    pub fn submit_threshold(
-        &self,
-        tenant: TenantId,
-        query: PackedQuery,
-        t: u32,
-        shard: Option<usize>,
-    ) -> Result<Ticket, Overloaded> {
-        self.submit_kind(tenant, query, RequestKind::Threshold { t }, shard)
-    }
-
-    /// The `k` nearest rows to `query` by masked Hamming distance,
-    /// ties broken toward the lowest row id.
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_kind`].
-    pub fn submit_top_k(
-        &self,
-        tenant: TenantId,
-        query: PackedQuery,
-        k: usize,
-        shard: Option<usize>,
-    ) -> Result<Ticket, Overloaded> {
-        self.submit_kind(tenant, query, RequestKind::TopK { k }, shard)
-    }
-
-    /// FeCAM-style range match: every row whose per-cell `[lo, hi]`
-    /// windows all contain the corresponding query level (one 4-ary
-    /// level per 2-digit cell).
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_kind`].
-    ///
-    /// # Panics
-    /// Panics if a level exceeds 3 or `levels` does not cover the
-    /// table width (one level per two digits).
-    pub fn submit_range(
-        &self,
-        tenant: TenantId,
-        levels: &[u8],
-        shard: Option<usize>,
-    ) -> Result<Ticket, Overloaded> {
-        self.submit_kind(tenant, levels_to_query(levels), RequestKind::Range, shard)
-    }
-
-    /// Fire-and-forget submission: the query runs, is fully accounted
-    /// in metrics and the audit lane, but no response is delivered.
-    /// This is the open-loop load-generation path — it skips the
-    /// per-request channel entirely.
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit`].
-    ///
-    /// # Panics
-    /// Panics on query-width mismatch or out-of-range shard.
-    pub fn submit_noreply(
-        &self,
-        tenant: TenantId,
-        query: PackedQuery,
-        shard: Option<usize>,
-    ) -> Result<(), Overloaded> {
-        self.enqueue(tenant, query, RequestKind::Exact, None, shard, None)
-    }
-
-    /// [`Self::submit_noreply`] for any request kind (open-loop
-    /// approximate load).
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit_kind`].
-    pub fn submit_noreply_kind(
-        &self,
-        tenant: TenantId,
-        query: PackedQuery,
-        kind: RequestKind,
-        shard: Option<usize>,
-    ) -> Result<(), Overloaded> {
-        self.enqueue(tenant, query, kind, None, shard, None)
+        let (tx, rx) = mpsc::channel();
+        self.enqueue(
+            tenant,
+            PackedQuery::from_bits(&[]),
+            kind,
+            word,
+            shard,
+            Some(tx),
+        )?;
+        Ok(Ticket { rx })
     }
 
     fn enqueue(
@@ -589,30 +428,6 @@ impl ServiceClient {
         Ok(())
     }
 
-    /// Submit a key-partitioned query: the shard is chosen by the
-    /// table's deterministic hash route.
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit`].
-    pub fn submit_routed(&self, tenant: TenantId, query: Vec<bool>) -> Result<Ticket, Overloaded> {
-        self.submit_packed_routed(tenant, PackedQuery::from_bits(&query))
-    }
-
-    /// [`Self::submit_routed`] over a packed query: routed by
-    /// [`ShardedTcam::route_packed`], which hashes the packed words
-    /// directly (identical route to the boolean path).
-    ///
-    /// # Errors
-    /// Same sheds as [`ServiceClient::submit`].
-    pub fn submit_packed_routed(
-        &self,
-        tenant: TenantId,
-        query: PackedQuery,
-    ) -> Result<Ticket, Overloaded> {
-        let shard = self.inner.table.route_packed(&query);
-        self.submit_packed(tenant, query, Some(shard))
-    }
-
     /// The shard a key-partitioned packed query routes to.
     #[must_use]
     pub fn route_packed(&self, query: &PackedQuery) -> usize {
@@ -659,7 +474,7 @@ impl ServiceClient {
     /// The execution tier this service answers on.
     #[must_use]
     pub fn backend(&self) -> BackendKind {
-        self.inner.backend_kind
+        self.inner.backend.kind()
     }
 }
 
@@ -685,16 +500,12 @@ impl TcamService {
             .t_bank
             .or_else(|| table.model_latency())
             .unwrap_or(1e-9);
-        let jobs = if config.jobs == 0 {
-            default_jobs()
-        } else {
-            config.jobs
+        let backend: Box<dyn ExecBackend> = match config.backend {
+            BackendKind::Behavioural => Box::new(BehaviouralBackend),
+            BackendKind::Spice => Box::new(SpiceBackend),
         };
         let max_batch = if config.max_batch == 0 {
-            match config.backend {
-                BackendKind::Behavioural => BehaviouralBackend.preferred_batch(),
-                BackendKind::Spice => SpiceBackend.preferred_batch(),
-            }
+            backend.preferred_batch()
         } else {
             config.max_batch
         };
@@ -716,13 +527,10 @@ impl TcamService {
             metrics: MetricsCollector::new(),
             gate: DrainGate::new(),
             max_batch: max_batch.max(1),
-            jobs,
             t_bank,
             deadline: config.deadline,
             sense,
-            backend_kind: config.backend,
-            spice: SpiceBackend,
-            behav: BehaviouralBackend,
+            backend,
             audit_period: config.audit_period,
             audit_tolerance: config.audit_tolerance,
             audit_seed: config.audit_seed,
@@ -849,18 +657,11 @@ fn kind_cost(kind: RequestKind, sense: Option<&SenseModel>, t_bank: f64) -> f64 
 fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &mut u64) {
     let tracing = trace::level() != TraceLevel::Off;
     let _span = tracing.then(|| trace::span("serve.batch"));
-    let backend = inner.backend();
+    let backend = &*inner.backend;
 
     // Writes first, in batch order.
-    let mut writes: Vec<Job> = Vec::new();
-    let mut searches: Vec<Job> = Vec::new();
-    for job in jobs.drain(..) {
-        if job.kind.is_write() {
-            writes.push(job);
-        } else {
-            searches.push(job);
-        }
-    }
+    let (writes, mut searches): (Vec<Job>, Vec<Job>) =
+        jobs.drain(..).partition(|job| job.kind.is_write());
     if !writes.is_empty() {
         apply_writes(inner, writes);
     }
@@ -888,8 +689,7 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
         return;
     }
 
-    // Split the Sync part (queries/kinds/targets) from the send side
-    // (tickets) so the worker pool only ever sees the former.
+    // The backend takes parallel arrays; the tickets stay with the jobs.
     let targets: Vec<Option<usize>> = searches.iter().map(|j| j.shard).collect();
     let queries: Vec<PackedQuery> = searches.iter().map(|j| j.query.clone()).collect();
     let kinds: Vec<RequestKind> = searches.iter().map(|j| j.kind).collect();
@@ -905,11 +705,11 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
     };
 
     let ExecResult {
-        mut outcomes,
-        hits: mut all_hits,
+        outcomes,
+        hits,
         per_job_latency_s,
         sched,
-    } = backend.execute(&view, &spec, inner.jobs, inner.t_bank);
+    } = backend.execute(&view, &spec, 0, inner.t_bank);
     inner.metrics.on_batch(searches.len(), &sched);
 
     // One clock read for the whole batch: per-job wall latency is pure
@@ -917,9 +717,8 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
     let now = Instant::now();
     let audit = backend.kind() == BackendKind::Behavioural && inner.audit_period > 0;
     let mut samples: Vec<ResponseSample> = Vec::with_capacity(searches.len());
-    for (j, job) in searches.drain(..).enumerate() {
-        let outcome = std::mem::replace(&mut outcomes[j], SearchOutcome::empty());
-        let hits = std::mem::take(&mut all_hits[j]);
+    let answers = outcomes.into_iter().zip(hits).zip(per_job_latency_s);
+    for (job, ((outcome, hits), model_latency_s)) in searches.into_iter().zip(answers) {
         let rows_searched = match job.shard {
             Some(s) => view.shard(s).rows(),
             None => view.len(),
@@ -928,7 +727,7 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
         let wall_latency_ns = u64::try_from(now.saturating_duration_since(job.enqueued).as_nanos())
             .unwrap_or(u64::MAX);
         if tracing {
-            trace::sample("serve.queue_wait_ns", wall_latency_ns);
+            trace::sample("serve.enqueue_to_response_ns", wall_latency_ns);
         }
         if audit {
             // Deterministic 1-in-`period` sample over the per-
@@ -944,7 +743,7 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
         samples.push(ResponseSample {
             kind: job.kind,
             wall_ns: wall_latency_ns,
-            model_latency_s: Some(per_job_latency_s[j]),
+            model_latency_s: Some(model_latency_s),
             rows: rows_searched,
             step1_misses: outcome.step1_misses,
             step2_misses: outcome.step2_misses,
@@ -962,7 +761,7 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
                 step2_misses: outcome.step2_misses,
                 rows_searched,
                 energy_j,
-                model_latency_s: per_job_latency_s[j],
+                model_latency_s,
                 wall_latency_ns,
             });
         }
@@ -1039,137 +838,13 @@ fn apply_writes(inner: &Inner, mut writes: Vec<Job>) {
     inner.metrics.on_responses(&samples);
 }
 
-/// The audit lane's sense-classified threshold reference: every row is
-/// accepted iff its modelled match-line discharge time falls *after*
-/// the threshold's sense point — the decision the analog sense
-/// amplifier makes, computed from the SPICE-fitted [`SenseModel`].
-/// Nominally this agrees bit-for-bit with the digital `d <= t` rule
-/// (the sense point sits strictly between the `t` and `t+1` discharge
-/// curves), so any disagreement is a served-kernel bug.
-fn sense_reference(
-    view: &SnapView,
-    job: &Job,
-    t: u32,
-    model: &SenseModel,
-) -> (SearchOutcome, Vec<ApproxHit>) {
-    let sense_at = model.sense_time(t);
-    let mut outcome = SearchOutcome::empty();
-    let mut hits = Vec::new();
-    for s in audit_shards(view, job) {
-        for (base, blk) in view.shard(s).blocks() {
-            let p = blk.packed();
-            for l in 0..p.rows() {
-                let d = row_distance(p, l, &job.query);
-                if model.discharge_time(d) > sense_at {
-                    let g = view.global_row(s, base + l);
-                    outcome.matches.push(g);
-                    hits.push(ApproxHit {
-                        row: g,
-                        distance: d,
-                    });
-                } else {
-                    outcome.step1_misses += 1;
-                }
-            }
-        }
-    }
-    outcome.matches.sort_unstable();
-    hits.sort_unstable();
-    (outcome, hits)
-}
-
-/// The shards a job's audit replay must cover.
-fn audit_shards(view: &SnapView, job: &Job) -> Vec<usize> {
-    match job.shard {
-        Some(s) => vec![s],
-        None => (0..view.shard_count()).collect(),
-    }
-}
-
-/// Scalar packed reference for the audit lane's approximate kinds:
-/// straight per-row [`row_distance`] / [`row_in_windows`] walks over
-/// the captured snapshot blocks — no block-scan masking, no bound
-/// bookkeeping — producing the same outcome shape the serving tiers
-/// converge to. Replaying against the batch's own view makes the lane
-/// exact under concurrent writes: both sides answered from the same
-/// immutable rows.
-fn packed_reference(view: &SnapView, job: &Job) -> (SearchOutcome, Vec<ApproxHit>) {
-    let mut outcome = SearchOutcome::empty();
-    let mut hits = Vec::new();
-    match job.kind {
-        RequestKind::Threshold { t } => {
-            for s in audit_shards(view, job) {
-                for (base, blk) in view.shard(s).blocks() {
-                    let p = blk.packed();
-                    for l in 0..p.rows() {
-                        let d = row_distance(p, l, &job.query);
-                        if d <= t {
-                            let g = view.global_row(s, base + l);
-                            outcome.matches.push(g);
-                            hits.push(ApproxHit {
-                                row: g,
-                                distance: d,
-                            });
-                        } else {
-                            outcome.step1_misses += 1;
-                        }
-                    }
-                }
-            }
-            outcome.matches.sort_unstable();
-            hits.sort_unstable();
-        }
-        RequestKind::TopK { k } => {
-            let mut examined = 0usize;
-            for s in audit_shards(view, job) {
-                for (base, blk) in view.shard(s).blocks() {
-                    let p = blk.packed();
-                    examined += p.rows();
-                    for l in 0..p.rows() {
-                        hits.push(ApproxHit {
-                            row: view.global_row(s, base + l),
-                            distance: row_distance(p, l, &job.query),
-                        });
-                    }
-                }
-            }
-            hits.sort_unstable();
-            hits.truncate(k);
-            outcome.matches = hits.iter().map(|h| h.row).collect();
-            outcome.matches.sort_unstable();
-            outcome.step1_misses = examined - hits.len();
-        }
-        RequestKind::Range => {
-            for s in audit_shards(view, job) {
-                for (base, blk) in view.shard(s).blocks() {
-                    let p = blk.packed();
-                    for l in 0..p.rows() {
-                        if row_in_windows(p, l, &job.query) {
-                            outcome.matches.push(view.global_row(s, base + l));
-                        } else {
-                            outcome.step1_misses += 1;
-                        }
-                    }
-                }
-            }
-            outcome.matches.sort_unstable();
-        }
-        // Exact replays through the naive row-order kernel; writes
-        // never enter the audit lane.
-        _ => {
-            return reference_search(view, job.kind, &job.query, job.shard);
-        }
-    }
-    (outcome, hits)
-}
-
-/// Replay one sampled behavioural answer on the reference tier and
-/// record the verdict. Exact requests replay through the naive
-/// row-order kernel ([`reference_search`]); top-k / range requests
-/// replay through the scalar packed reference; threshold requests
-/// replay through the sense-time classifier when a model is attached,
-/// grounding the audit in the circuit's analog decision. All replays
-/// run against the same captured view the fast tier answered from.
+/// Replay one sampled behavioural answer through the reference walk
+/// ([`crate::backend::reference_answer`]) and record the verdict. The
+/// walk gets the service's sense model, so threshold replays are
+/// classified by the circuit's analog sense decision rather than the
+/// digital rule the fast tier uses. The replay runs against the same
+/// captured view the fast tier answered from, which makes the lane
+/// exact under concurrent writes.
 fn audit_replay(
     inner: &Inner,
     view: &SnapView,
@@ -1178,10 +853,8 @@ fn audit_replay(
     fast_hits: &[ApproxHit],
     fast_energy: Option<f64>,
 ) {
-    let (reference, ref_hits) = match (job.kind, inner.sense.as_ref()) {
-        (RequestKind::Threshold { t }, Some(model)) => sense_reference(view, job, t, model),
-        _ => packed_reference(view, job),
-    };
+    let (reference, ref_hits) =
+        reference_answer(view, job.kind, &job.query, job.shard, inner.sense.as_ref());
     let ref_energy = view.energy_of_kind(job.kind, &reference);
     let verdict = audit_compare(
         fast,
@@ -1225,6 +898,17 @@ mod tests {
         (0..8).rev().map(|b| (v >> b) & 1 == 1).collect()
     }
 
+    /// Submit an exact search for the 8-bit key `v`.
+    fn exact(
+        client: &ServiceClient,
+        tenant: TenantId,
+        v: u64,
+        shard: Option<usize>,
+    ) -> Result<Ticket, Overloaded> {
+        let q = PackedQuery::from_bits(&bits(v));
+        client.submit_kind(tenant, q, RequestKind::Exact, shard)
+    }
+
     /// `Ticket::wait` for tests without a deadline configured: every
     /// accepted request is answered.
     fn answered(t: Ticket) -> SearchResponse {
@@ -1236,7 +920,7 @@ mod tests {
     fn single_query_roundtrip() {
         let svc = TcamService::start(table(16, 2), &ServiceConfig::default());
         let client = svc.client();
-        let resp = answered(client.submit(0, bits(9), None).unwrap());
+        let resp = answered(exact(&client, 0, 9, None).unwrap());
         // 9 = 3*3 is stored; fan-out scans all 16 rows.
         assert!(!resp.matches.is_empty());
         assert_eq!(resp.rows_searched, 16);
@@ -1259,7 +943,7 @@ mod tests {
         let svc = TcamService::start(t, &ServiceConfig::default());
         let client = svc.client();
         for v in [0u64, 3, 30, 93, 200] {
-            let resp = answered(client.submit(0, bits(v), None).unwrap());
+            let resp = answered(exact(&client, 0, v, None).unwrap());
             assert_eq!(resp.matches, reference.search_naive(&bits(v)), "v={v}");
         }
         drop(svc);
@@ -1283,7 +967,7 @@ mod tests {
                 r
             };
             for v in [0u64, 3, 30, 93, 200, 255] {
-                let resp = answered(client.submit(0, bits(v), None).unwrap());
+                let resp = answered(exact(&client, 0, v, None).unwrap());
                 let flat = reference.search(&bits(v));
                 assert_eq!(resp.matches, flat.matches, "{backend} v={v}");
                 assert_eq!(resp.step1_misses, flat.step1_misses, "{backend} v={v}");
@@ -1305,7 +989,7 @@ mod tests {
         let svc = TcamService::start(table(48, 3), &config);
         let client = svc.client();
         for v in 0..64u64 {
-            let _ = answered(client.submit(0, bits(v * 5), None).unwrap());
+            let _ = answered(exact(&client, 0, v * 5, None).unwrap());
         }
         let m = svc.drain();
         assert_eq!(m.completed, 64);
@@ -1326,7 +1010,12 @@ mod tests {
         let client = svc.client();
         for v in 0..32u64 {
             client
-                .submit_noreply(0, PackedQuery::from_bits(&bits(v * 7)), None)
+                .submit_noreply_kind(
+                    0,
+                    PackedQuery::from_bits(&bits(v * 7)),
+                    RequestKind::Exact,
+                    None,
+                )
                 .unwrap();
         }
         let m = svc.drain();
@@ -1340,7 +1029,7 @@ mod tests {
         let svc = TcamService::start(table(8, 2), &ServiceConfig::default());
         let client = svc.client();
         let tickets: Vec<Ticket> = (0..50)
-            .map(|i| client.submit(0, bits(i % 256), None).unwrap())
+            .map(|i| exact(&client, 0, i % 256, None).unwrap())
             .collect();
         let m = svc.drain();
         assert_eq!(m.completed, 50);
@@ -1349,7 +1038,7 @@ mod tests {
         }
         // After drain, new submissions shed as ShuttingDown.
         assert_eq!(
-            client.submit(0, bits(1), None).unwrap_err(),
+            exact(&client, 0, 1, None).unwrap_err(),
             Overloaded::ShuttingDown
         );
         assert_eq!(client.metrics().shed_shutting_down, 1);
@@ -1360,12 +1049,12 @@ mod tests {
         let svc = TcamService::start(table(8, 1), &ServiceConfig::default());
         let client = svc.client();
         client.set_policy(1, RatePolicy::per_second(0.0, 1.0));
-        assert!(client.submit(1, bits(0), None).is_ok());
+        assert!(exact(&client, 1, 0, None).is_ok());
         assert_eq!(
-            client.submit(1, bits(0), None).unwrap_err(),
+            exact(&client, 1, 0, None).unwrap_err(),
             Overloaded::RateLimited { tenant: 1 }
         );
-        assert!(client.submit(2, bits(0), None).is_ok());
+        assert!(exact(&client, 2, 0, None).is_ok());
         let m = svc.drain();
         assert_eq!(m.shed_rate_limited, 1);
         assert_eq!(m.completed, 2);
@@ -1383,31 +1072,10 @@ mod tests {
         let svc = TcamService::start(t, &ServiceConfig::default());
         let client = svc.client();
         for i in [0u64, 17, 42, 63] {
-            let resp = answered(client.submit_routed(0, bits(i)).unwrap());
+            let shard = client.route_packed(&PackedQuery::from_bits(&bits(i)));
+            let resp = answered(exact(&client, 0, i, Some(shard)).unwrap());
             assert_eq!(resp.matches.len(), 1, "key {i} found on its shard");
             assert!(resp.rows_searched < 64, "scans one shard, not the table");
-        }
-        drop(svc);
-    }
-
-    #[test]
-    fn packed_routed_equals_boolean_routed() {
-        let mut t = ShardedTcam::new(8, 4);
-        for i in 0..64u64 {
-            let shard = t.route(&bits(i));
-            t.store_in(shard, TernaryWord::from_u64(i, 8));
-        }
-        let svc = TcamService::start(t, &ServiceConfig::default());
-        let client = svc.client();
-        for i in [0u64, 17, 42, 63] {
-            let a = answered(client.submit_routed(0, bits(i)).unwrap());
-            let b = answered(
-                client
-                    .submit_packed_routed(0, PackedQuery::from_bits(&bits(i)))
-                    .unwrap(),
-            );
-            assert_eq!(a.matches, b.matches, "key {i}");
-            assert_eq!(a.rows_searched, b.rows_searched, "same shard routed");
         }
         drop(svc);
     }

@@ -105,14 +105,14 @@ fn threshold_zero_equals_exact_and_grows_monotonically() {
     for _ in 0..6 {
         let q = rand_query(&mut seed);
         let exact = client
-            .submit_packed(0, q.clone(), None)
+            .submit_kind(0, q.clone(), RequestKind::Exact, None)
             .unwrap()
             .wait()
             .expect("no deadline configured");
         let mut prev = Vec::new();
         for t in 0..4u32 {
             let resp = client
-                .submit_threshold(0, q.clone(), t, None)
+                .submit_kind(0, q.clone(), RequestKind::Threshold { t }, None)
                 .unwrap()
                 .wait()
                 .expect("no deadline configured");
@@ -129,7 +129,7 @@ fn threshold_zero_equals_exact_and_grows_monotonically() {
     drop(svc);
 }
 
-/// Range serving: a level query built from `submit_range` matches
+/// Range serving: a level query built by `levels_to_query` matches
 /// exactly the rows whose per-cell windows contain it.
 #[test]
 fn range_requests_honour_cell_windows() {
@@ -150,18 +150,14 @@ fn range_requests_honour_cell_windows() {
     let client = svc.client();
     // Level 3 in both cells: rows "11XX" (windows [3,3],[0,3]) and
     // "XXXX" ([0,3],[0,3]) contain (3,3); "0110" and "10X1" don't.
+    let levels = ferrotcam::levels_to_query(&[3, 3, 3, 3]);
     let resp = client
-        .submit_range(0, &[3, 3, 3, 3], None)
+        .submit_kind(0, levels.clone(), RequestKind::Range, None)
         .unwrap()
         .wait()
         .expect("no deadline configured");
     assert_eq!(resp.kind, RequestKind::Range);
-    let (ref_out, _) = reference_search(
-        &client.table(),
-        RequestKind::Range,
-        &ferrotcam::levels_to_query(&[3, 3, 3, 3]),
-        None,
-    );
+    let (ref_out, _) = reference_search(&client.table(), RequestKind::Range, &levels, None);
     assert_eq!(resp.matches, ref_out.matches);
     assert!(resp.matches.contains(&client.table().global_row(2, 0)));
     drop(svc);
@@ -218,13 +214,20 @@ fn per_kind_accounting_and_class_admission() {
     client.set_class_policy(4, AdmissionClass::Approx, RatePolicy::per_second(0.0, 2.0));
     let mut seed = 0xbeef;
     let q = rand_query(&mut seed);
-    assert!(client.submit_threshold(4, q.clone(), 1, None).is_ok());
-    assert!(client.submit_top_k(4, q.clone(), 3, None).is_ok());
-    let shed = client.submit_threshold(4, q.clone(), 1, None).unwrap_err();
+    let threshold = RequestKind::Threshold { t: 1 };
+    assert!(client.submit_kind(4, q.clone(), threshold, None).is_ok());
+    assert!(client
+        .submit_kind(4, q.clone(), RequestKind::TopK { k: 3 }, None)
+        .is_ok());
+    let shed = client
+        .submit_kind(4, q.clone(), threshold, None)
+        .unwrap_err();
     assert_eq!(shed, Overloaded::RateLimited { tenant: 4 });
     // The same tenant's exact traffic rides the unlimited default.
     for _ in 0..8 {
-        assert!(client.submit_packed(4, q.clone(), None).is_ok());
+        assert!(client
+            .submit_kind(4, q.clone(), RequestKind::Exact, None)
+            .is_ok());
     }
     let m = svc.drain();
     assert_eq!(m.completed_by_kind.threshold, 1);

@@ -2,13 +2,22 @@
 //! overload shedding, and energy-true accounting against `core::fom`.
 
 use ferrotcam::fom::SearchMetrics;
-use ferrotcam::{program_duration, DesignKind, RowWriteMetrics, TernaryWord};
-use ferrotcam_serve::{Overloaded, RatePolicy, ServiceConfig, ShardedTcam, TcamService};
+use ferrotcam::{program_duration, DesignKind, PackedQuery, RowWriteMetrics, TernaryWord};
+use ferrotcam_serve::{
+    Overloaded, RatePolicy, RequestKind, ServiceClient, ServiceConfig, ShardedTcam, TcamService,
+    TenantId, Ticket,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn bits(v: u64, width: usize) -> Vec<bool> {
     (0..width).rev().map(|b| (v >> b) & 1 == 1).collect()
+}
+
+/// Submit a fan-out exact search for the 16-bit key `v`.
+fn exact(client: &ServiceClient, tenant: TenantId, v: u64) -> Result<Ticket, Overloaded> {
+    let q = PackedQuery::from_bits(&bits(v, 16));
+    client.submit_kind(tenant, q, RequestKind::Exact, None)
 }
 
 fn metrics() -> SearchMetrics {
@@ -58,9 +67,8 @@ fn n_threads_yield_exactly_n_responses() {
                     let mut out = Vec::with_capacity(PER_THREAD);
                     for i in 0..PER_THREAD {
                         let key = (p * PER_THREAD + i) as u64 & 0xFFFF;
-                        let ticket = client
-                            .submit(p as u32, bits(key, 16), None)
-                            .expect("unlimited tenants, roomy queue");
+                        let ticket =
+                            exact(&client, p as u32, key).expect("unlimited tenants, roomy queue");
                         out.push((key, ticket.wait().expect("no deadline configured")));
                     }
                     out
@@ -121,7 +129,7 @@ fn overload_sheds_and_queue_stays_bounded() {
     // Blast far more submissions than a 16-deep queue can hold while
     // the dispatcher chews 512-row fan-out scans.
     for i in 0..2000u64 {
-        match client.submit(0, bits(i & 0xFFFF, 16), None) {
+        match exact(&client, 0, i & 0xFFFF) {
             Ok(t) => {
                 accepted += 1;
                 tickets.push(t);
@@ -155,8 +163,7 @@ fn response_energy_matches_standalone_fom() {
         let svc = TcamService::start(table(96, shards), &ServiceConfig::default());
         let client = svc.client();
         for q in 0..32u64 {
-            let resp = client
-                .submit(0, bits((q * 37) & 0xFFFF, 16), None)
+            let resp = exact(&client, 0, (q * 37) & 0xFFFF)
                 .unwrap()
                 .wait()
                 .expect("no deadline configured");
@@ -191,7 +198,7 @@ fn tenant_isolation_under_concurrency() {
             let mut ok = 0;
             let mut limited = 0;
             for i in 0..64u64 {
-                match c.submit(9, bits(i, 16), None) {
+                match exact(&c, 9, i) {
                     Ok(t) => {
                         let _ = t.wait();
                         ok += 1;
@@ -207,7 +214,7 @@ fn tenant_isolation_under_concurrency() {
         let c = Arc::clone(&free);
         move || {
             for i in 0..64u64 {
-                let _ = c.submit(1, bits(i, 16), None).unwrap().wait();
+                let _ = exact(&c, 1, i).unwrap().wait();
             }
         }
     });
@@ -261,8 +268,7 @@ fn concurrent_writes_never_expose_a_torn_word() {
             let c = client.clone();
             std::thread::spawn(move || {
                 for _ in 0..PROBES {
-                    let resp = c
-                        .submit(p + 1, bits(0x00FF, 16), None)
+                    let resp = exact(&c, p + 1, 0x00FF)
                         .expect("roomy queue")
                         .wait()
                         .expect("no deadline configured");
@@ -305,7 +311,7 @@ fn expired_deadline_sheds_searches_but_never_writes() {
 
     let mut searches = Vec::new();
     for i in 0..32u64 {
-        searches.push(client.submit(0, bits(i, 16), None).unwrap());
+        searches.push(exact(&client, 0, i).unwrap());
     }
     let ack = client
         .submit_insert(0, TernaryWord::from_u64(0xBEEF, 16))
