@@ -9,6 +9,7 @@
 //! discovery, which otherwise walks up from the current directory to
 //! the first ancestor holding the checked-in registry.
 
+use crate::CliError;
 use ferrotcam_analysis::{analyze_workspace, REGISTRY_PATH};
 use std::path::PathBuf;
 
@@ -33,7 +34,7 @@ fn discover_root() -> Result<PathBuf, String> {
 /// # Errors
 /// Bad flags, an unreadable source tree or registry, and (with
 /// `--deny`) any deny-severity diagnostic.
-pub fn run(args: &[String]) -> Result<(), String> {
+pub fn run(args: &[String]) -> Result<(), CliError> {
     let mut deny = false;
     let mut json = false;
     let mut root: Option<PathBuf> = None;
@@ -49,18 +50,18 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 root = Some(PathBuf::from(dir));
             }
             other => {
-                return Err(format!(
+                return Err(CliError::Usage(format!(
                     "unknown analyze flag {other:?} (expected --deny, --json, --root <dir>)"
-                ))
+                )))
             }
         }
     }
 
     let root = match root {
         Some(r) => r,
-        None => discover_root()?,
+        None => discover_root().map_err(CliError::Failed)?,
     };
-    let report = analyze_workspace(&root)?;
+    let report = analyze_workspace(&root).map_err(CliError::Failed)?;
     if json {
         let mut body = report.to_json();
         body.push('\n');
@@ -69,10 +70,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
         crate::commands::write_stdout(&report.render_human())?;
     }
     if deny && report.num_deny() > 0 {
-        return Err(format!(
+        return Err(CliError::Failed(format!(
             "analyze --deny: {} deny-severity diagnostic(s)",
             report.num_deny()
-        ));
+        )));
     }
     Ok(())
 }
@@ -121,6 +122,9 @@ mod tests {
             "/nonexistent-ferrotcam-root".to_string(),
         ])
         .unwrap_err();
-        assert!(err.contains("registry"), "unexpected error: {err}");
+        assert!(
+            matches!(&err, CliError::Failed(m) if m.contains("registry")),
+            "unexpected error: {err:?}"
+        );
     }
 }

@@ -12,6 +12,8 @@ use ferrotcam_eval::tech::tech_14nm;
 use ferrotcam_spice::NodeId;
 use std::fmt::Write as _;
 
+use crate::CliError;
+
 /// Usage text shown on errors and `help`.
 pub const USAGE: &str = "\
 ferroTCAM toolkit
@@ -82,25 +84,41 @@ USAGE:
 
 DESIGNS: 2sg | 2dg | 1.5t1sg | 1.5t1dg | cmos (aliases accepted)";
 
-/// A CLI-level error: message shown to the user.
-type CliResult = Result<(), String>;
+/// A command's outcome; see [`CliError`] for what a failure prints.
+type CliResult = Result<(), CliError>;
 
 /// Write a machine-readable body to stdout without panicking: piping
 /// into `head` closes the pipe early, and the resulting
 /// [`std::io::ErrorKind::BrokenPipe`] must surface as a clean non-zero
 /// exit, not a panic (`println!` aborts the process on write failure).
-pub(crate) fn write_stdout(body: &str) -> Result<(), String> {
+pub(crate) fn write_stdout(body: &str) -> CliResult {
     use std::io::Write as _;
     let mut out = std::io::stdout().lock();
     out.write_all(body.as_bytes())
         .and_then(|()| out.flush())
         .map_err(|e| {
-            if e.kind() == std::io::ErrorKind::BrokenPipe {
+            CliError::Failed(if e.kind() == std::io::ErrorKind::BrokenPipe {
                 "broken pipe: stdout closed before all output was written".to_string()
             } else {
                 format!("writing to stdout: {e}")
-            }
+            })
         })
+}
+
+/// The verdict of a bench's acceptance gates. `report` holds one line
+/// per failed gate, naming its measured value and bound. A failed smoke
+/// run is a [`CliError::Failed`] (no usage text); a full run only
+/// warns.
+pub(crate) fn gate_verdict(bench: &str, report: &str, smoke: bool, pass: &str) -> CliResult {
+    if report.is_empty() {
+        println!("{pass}");
+        Ok(())
+    } else if smoke {
+        Err(CliError::Failed(format!("{bench} smoke failed:\n{report}")))
+    } else {
+        println!("warning (non-smoke run, not fatal):\n{report}");
+        Ok(())
+    }
 }
 
 /// Dispatch a command line.
@@ -127,7 +145,7 @@ pub fn dispatch(args: &[String]) -> CliResult {
             println!("{USAGE}");
             Ok(())
         }
-        Some(other) => Err(format!("unknown command {other:?}")),
+        Some(other) => Err(CliError::Usage(format!("unknown command {other:?}"))),
     }
 }
 
@@ -220,8 +238,10 @@ fn search(args: &[String]) -> CliResult {
         return Err("1.5T designs pair cells: use an even word length".into());
     }
     let mut sim = build(design, &stored, &query)?;
-    let run = sim.run().map_err(|e| format!("transient failed: {e}"))?;
-    let matched = run.matched().map_err(|e| e.to_string())?;
+    let run = sim
+        .run()
+        .map_err(|e| CliError::Failed(format!("transient failed: {e}")))?;
+    let matched = run.matched().map_err(|e| CliError::Failed(e.to_string()))?;
     println!(
         "{}: stored {stored}, query {} -> {}",
         design.name(),
@@ -231,7 +251,7 @@ fn search(args: &[String]) -> CliResult {
             .collect::<String>(),
         if matched { "MATCH" } else { "MISS" }
     );
-    if let Some(lat) = run.latency().map_err(|e| e.to_string())? {
+    if let Some(lat) = run.latency().map_err(|e| CliError::Failed(e.to_string()))? {
         println!("  SA fired {:.0} ps after search start", lat * 1e12);
     }
     println!("  energy: {:.3} fJ", run.total_energy() * 1e15);
@@ -252,7 +272,9 @@ fn search(args: &[String]) -> CliResult {
     // Sanity: the logic-level verdict must agree.
     let expect = stored.matches_query(&query);
     if matched != expect {
-        return Err("circuit and logic verdicts disagree (calibration issue?)".into());
+        return Err(CliError::Failed(
+            "circuit and logic verdicts disagree (calibration issue?)".into(),
+        ));
     }
     Ok(())
 }
@@ -269,7 +291,7 @@ fn characterize(args: &[String]) -> CliResult {
         .unwrap_or(16);
     let tech = tech_14nm();
     let m = characterize_search(design, n, row_parasitics(design, &tech))
-        .map_err(|e| format!("characterisation failed: {e}"))?;
+        .map_err(|e| CliError::Failed(format!("characterisation failed: {e}")))?;
     println!("{} at {n}-bit words:", design.name());
     println!("  1-step latency : {:.0} ps", m.latency_1step * 1e12);
     if let Some(l2) = m.latency_2step {
@@ -294,7 +316,8 @@ fn write_energy(args: &[String]) -> CliResult {
     if design == DesignKind::Cmos16t {
         return Err("the CMOS baseline has no FeFET write path (paper: N.A.)".into());
     }
-    let w = characterize_write(design, 1e-18).map_err(|e| format!("write sim failed: {e}"))?;
+    let w = characterize_write(design, 1e-18)
+        .map_err(|e| CliError::Failed(format!("write sim failed: {e}")))?;
     println!("{} write energy per cell:", design.name());
     println!("  '0' : {:.3} fJ", w.energy_write0 * 1e15);
     println!("  '1' : {:.3} fJ", w.energy_write1 * 1e15);
@@ -311,7 +334,8 @@ fn margins(args: &[String]) -> CliResult {
     if !design.is_t15() {
         return Err("margins analysis applies to the 1.5T designs".into());
     }
-    let m = nominal_margins(design).map_err(|e| format!("margin solve failed: {e}"))?;
+    let m = nominal_margins(design)
+        .map_err(|e| CliError::Failed(format!("margin solve failed: {e}")))?;
     println!("{} static divider margins:", design.name());
     println!(
         "  discharge (mismatch drive over TML Vth) : {:+.0} mV",
@@ -336,7 +360,7 @@ fn idvg(args: &[String]) -> CliResult {
     let (params, bg_read, range) = match flavour.as_str() {
         "sg" => (calib::sg_fefet_14nm(), false, (-1.0, 3.0)),
         "dg" => (calib::dg_fefet_14nm(), true, (-2.0, 4.0)),
-        other => return Err(format!("flavour is sg or dg, got {other:?}")),
+        other => return Err(format!("flavour is sg or dg, got {other:?}").into()),
     };
     let g = NodeId::GROUND;
     let mut dev = Fefet::new("probe", g, g, g, g, params);
@@ -439,7 +463,31 @@ mod tests {
     fn designs_and_help_run() {
         run(&["designs"]).unwrap();
         run(&["help"]).unwrap();
-        assert!(run(&["bogus"]).is_err());
+        assert!(matches!(run(&["bogus"]), Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn bad_bench_flags_are_usage_errors() {
+        for cmd in ["bench", "serve-bench"] {
+            assert!(
+                matches!(run(&[cmd, "--bogus"]), Err(CliError::Usage(_))),
+                "{cmd}"
+            );
+        }
+    }
+
+    #[test]
+    fn failed_smoke_gates_are_failures_not_usage_errors() {
+        let report = "[spice] overload at 132185 qps shed nothing (bound: shed > 0)\n";
+        match gate_verdict("serve-bench", report, true, "pass") {
+            Err(CliError::Failed(msg)) => {
+                assert!(msg.starts_with("serve-bench smoke failed"), "{msg}");
+                assert!(msg.contains(report), "names the gate and bound: {msg}");
+            }
+            other => panic!("expected a gate failure, got {other:?}"),
+        }
+        assert_eq!(gate_verdict("bench", report, false, "pass"), Ok(()));
+        assert_eq!(gate_verdict("bench", "", true, "pass"), Ok(()));
     }
 
     #[test]

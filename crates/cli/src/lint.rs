@@ -6,6 +6,7 @@
 //! `--deny` any error-severity diagnostic fails the command (the CI
 //! configuration), and `--json` emits one JSON report per netlist.
 
+use crate::CliError;
 use ferrotcam::cell::{DesignKind, DesignParams, RowParasitics, SearchTiming};
 use ferrotcam::margins::build_divider_circuit;
 use ferrotcam::{build_array_write, build_full_array, build_search_row, TernaryWord};
@@ -98,7 +99,7 @@ fn corpus(all: bool) -> Result<Vec<Entry>, String> {
 /// # Errors
 /// Bad flags, netlist construction failures, and (with `--deny`) any
 /// error-severity ERC diagnostic.
-pub fn run(args: &[String]) -> Result<(), String> {
+pub fn run(args: &[String]) -> Result<(), CliError> {
     let mut all = false;
     let mut deny = false;
     let mut json = false;
@@ -108,14 +109,14 @@ pub fn run(args: &[String]) -> Result<(), String> {
             "--deny" => deny = true,
             "--json" => json = true,
             other => {
-                return Err(format!(
+                return Err(CliError::Usage(format!(
                     "unknown lint flag {other:?} (expected --all, --deny, --json)"
-                ))
+                )))
             }
         }
     }
 
-    let entries = corpus(all)?;
+    let entries = corpus(all).map_err(CliError::Failed)?;
     let mut total_errors = 0usize;
     let mut total_warnings = 0usize;
     let mut first_json = true;
@@ -129,7 +130,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     for e in &entries {
         let report = match erc::check(&e.circuit) {
             Ok(r) => r,
-            Err(err) => return Err(format!("{}: {err}", e.label)),
+            Err(err) => return Err(CliError::Failed(format!("{}: {err}", e.label))),
         };
         total_errors += report.num_errors();
         total_warnings += report.num_warnings();
@@ -171,9 +172,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         );
     }
     if deny && total_errors > 0 {
-        return Err(format!(
+        return Err(CliError::Failed(format!(
             "lint --deny: {total_errors} error-severity diagnostic(s)"
-        ));
+        )));
     }
     Ok(())
 }

@@ -15,6 +15,30 @@
 
 use std::process::ExitCode;
 
+/// How a command failed, which decides what the user is shown.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum CliError {
+    /// The command line could not be parsed: the message, then the
+    /// usage text.
+    Usage(String),
+    /// The command ran and failed (a failed gate, a simulation error,
+    /// a closed pipe): the message alone.
+    Failed(String),
+}
+
+/// Errors raised while reading arguments are usage errors.
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        Self::Usage(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> Self {
+        Self::Usage(msg.to_string())
+    }
+}
+
 mod analyze;
 mod commands;
 mod lint;
@@ -36,15 +60,14 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match commands::dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(CliError::Usage(e)) => {
             eprintln!("error: {e}");
-            // A broken pipe means the consumer went away mid-stream
-            // (e.g. `| head`): the output is truncated, so fail — but
-            // usage text would only be noise at this point.
-            if !e.starts_with("broken pipe") {
-                eprintln!();
-                eprintln!("{}", commands::USAGE);
-            }
+            eprintln!();
+            eprintln!("{}", commands::USAGE);
+            ExitCode::FAILURE
+        }
+        Err(CliError::Failed(e)) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }

@@ -17,6 +17,8 @@
 //! must be non-zero (a silent bypass regression fails CI, not just a
 //! slow one).
 
+use crate::commands::gate_verdict;
+use crate::CliError;
 use ferrotcam::cell::DesignKind;
 use ferrotcam::SearchSim;
 use ferrotcam_spice::{BypassPolicy, NewtonOpts, Ordering, SimStats, Trace};
@@ -174,7 +176,7 @@ fn max_waveform_deviation(base: &Trace, cand: &Trace) -> Result<f64, String> {
 pub fn run(
     args: &[String],
     parse_design: impl Fn(&str) -> Result<DesignKind, String>,
-) -> Result<(), String> {
+) -> Result<(), CliError> {
     let opts = parse_opts(args, parse_design)?;
     println!(
         "bench: {} search row, {} bits, {} rep(s) per config{}",
@@ -198,7 +200,7 @@ pub fn run(
     let mut results = Vec::new();
     let mut runs = Vec::new();
     for (name, newton) in &configs {
-        let (ns, stats, trace) = time_config(&opts, name, newton)?;
+        let (ns, stats, trace) = time_config(&opts, name, newton).map_err(CliError::Failed)?;
         results.push(BenchEntry {
             id: format!("fig7_search{}_{name}", opts.bits),
             ns_per_iter: ns,
@@ -217,10 +219,11 @@ pub fn run(
         results,
     };
     let dir = std::env::var("FERROTCAM_RESULTS").unwrap_or_else(|_| "results".into());
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {dir}: {e}"))?;
+    std::fs::create_dir_all(&dir).map_err(|e| CliError::Failed(format!("create {dir}: {e}")))?;
     let path = std::path::Path::new(&dir).join("BENCH_newton.json");
     let json = serde_json::to_string_pretty(&file).expect("serialise bench file");
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
+    std::fs::write(&path, json)
+        .map_err(|e| CliError::Failed(format!("write {}: {e}", path.display())))?;
     println!("wrote {}", path.display());
 
     // --- Acceptance invariants --------------------------------------------
@@ -229,7 +232,7 @@ pub fn run(
     if off_stats.bypass_hits != 0 {
         let _ = writeln!(
             report,
-            "bypass=off recorded {} hit(s)",
+            "bypass=off recorded {} hit(s) (bound 0)",
             off_stats.bypass_hits
         );
     }
@@ -237,34 +240,31 @@ pub fn run(
         if stats.bypass_hits == 0 {
             let _ = writeln!(
                 report,
-                "{name}: SimStats.bypass_hits == 0 (bypass never engaged)"
+                "{name}: SimStats.bypass_hits == 0 (bypass never engaged; bound > 0)"
             );
         }
-        let dev = max_waveform_deviation(off_trace, trace)?;
+        let dev = max_waveform_deviation(off_trace, trace).map_err(CliError::Failed)?;
         println!("  {name:<26} max |ΔV| vs baseline = {dev:.3e} V");
         if dev > 1e-6 {
             let _ = writeln!(
                 report,
-                "{name}: waveforms deviate {dev:.3e} V from bypass=off (> 1e-6)"
+                "{name}: waveforms deviate {dev:.3e} V from bypass=off (bound 1e-6 V)"
             );
         }
     }
-    if report.is_empty() {
-        println!("bench invariants hold: bypass engaged, waveforms within 1e-6 V of baseline");
-        Ok(())
-    } else if opts.smoke {
-        Err(format!("bench smoke failed:\n{report}"))
-    } else {
-        println!("warning (non-smoke run, not fatal):\n{report}");
-        Ok(())
-    }
+    gate_verdict(
+        "bench",
+        &report,
+        opts.smoke,
+        "bench invariants hold: bypass engaged, waveforms within 1e-6 V of baseline",
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn run_args(args: &[&str]) -> Result<(), String> {
+    fn run_args(args: &[&str]) -> Result<(), CliError> {
         let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         run(&v, crate::commands::parse_design)
     }
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn bad_flags_rejected() {
-        assert!(run_args(&["--bogus"]).is_err());
+        assert!(matches!(run_args(&["--bogus"]), Err(CliError::Usage(_))));
         assert!(run_args(&["--bits"]).is_err());
         assert!(run_args(&["--bits", "0"]).is_err());
         assert!(run_args(&["--bits", "3"]).is_err()); // odd on a 1.5T design

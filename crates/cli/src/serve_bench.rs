@@ -60,6 +60,9 @@ use serde::Serialize;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use crate::commands::gate_verdict;
+use crate::CliError;
+
 /// One point on the throughput-latency curve.
 #[derive(Debug, Clone, Serialize)]
 struct CurvePoint {
@@ -96,6 +99,17 @@ struct CurvePoint {
 /// console (NaN marks an empty histogram).
 fn us(v: Option<f64>) -> f64 {
     v.map_or(f64::NAN, |ns| ns / 1e3)
+}
+
+/// Per-dispatcher counters of one run, `d<i> batches/steals/parks/wakeups`:
+/// parks near the batch count mean idle dispatchers sleep, not poll.
+fn dispatch_counters(m: &ServiceMetrics) -> String {
+    m.dispatchers
+        .iter()
+        .enumerate()
+        .map(|(i, d)| format!("d{i} {}/{}/{}/{}", d.batches, d.steals, d.parks, d.wakeups))
+        .collect::<Vec<_>>()
+        .join("  ")
 }
 
 /// The `BENCH_serve.json` artefact.
@@ -504,6 +518,10 @@ fn run_backend(
             us(m.wall_latency_ns.p50),
             us(m.wall_latency_ns.p99)
         );
+        println!(
+            "  [{tag}]         dispatchers (batches/steals/parks/wakeups): {}",
+            dispatch_counters(&m)
+        );
         capacities.push(qps);
         curves.push(curve_point(
             format!("closed_shards{shards}_{tag}"),
@@ -552,6 +570,10 @@ fn run_backend(
     println!(
         "  [{tag}] open    shards={max_shards:<2} offered {offered:>9.0} qps -> {achieved:>9.0} qps, shed {shed_total}, max queue depth {}",
         m_over.max_queue_depth
+    );
+    println!(
+        "  [{tag}]         dispatchers (batches/steals/parks/wakeups): {}",
+        dispatch_counters(&m_over)
     );
     curves.push(curve_point(
         format!("open_overload_shards{max_shards}_{tag}"),
@@ -889,7 +911,8 @@ fn check_backend(run: &BackendRun, report: &mut String) {
         if w[1] < w[0] * tolerance {
             let _ = writeln!(
                 report,
-                "[{tag}] throughput regressed across shard sweep: {caps:?}"
+                "[{tag}] throughput regressed across shard sweep: {caps:.0?} qps \
+                 (bound: each point >= {tolerance} x the one before)"
             );
             break;
         }
@@ -899,7 +922,10 @@ fn check_backend(run: &BackendRun, report: &mut String) {
     // bound (the kernel answers in well under the channel cost), so it
     // only has to hold steady.
     if run.backend == BackendKind::Spice && caps.len() > 1 && caps[caps.len() - 1] <= caps[0] {
-        let _ = writeln!(report, "[{tag}] no scaling across shard sweep: {caps:?}");
+        let _ = writeln!(
+            report,
+            "[{tag}] no scaling across shard sweep: {caps:.0?} qps (bound: last > first)"
+        );
     }
     let shed = run.open_metrics.shed_queue_full
         + run.open_metrics.shed_rate_limited
@@ -907,8 +933,11 @@ fn check_backend(run: &BackendRun, report: &mut String) {
     if shed == 0 {
         let _ = writeln!(
             report,
-            "[{tag}] overload at {:.0} qps shed nothing",
-            run.open_offered
+            "[{tag}] overload at {:.0} qps shed nothing (bound: shed > 0; achieved {:.0} qps, max queue depth {} of {})",
+            run.open_offered,
+            run.open_achieved,
+            run.open_metrics.max_queue_depth,
+            run.open_queue_bound
         );
     }
     if run.open_metrics.max_queue_depth > run.open_queue_bound {
@@ -921,14 +950,17 @@ fn check_backend(run: &BackendRun, report: &mut String) {
     if run.energy_worst_rel >= 1e-9 {
         let _ = writeln!(
             report,
-            "[{tag}] energy attribution deviates from core::fom by {:.3e} (>= 1e-9)",
+            "[{tag}] energy attribution deviates from core::fom by {:.3e} (bound < 1e-9)",
             run.energy_worst_rel
         );
     }
     if run.backend == BackendKind::Behavioural {
         let m = &run.open_metrics;
         if m.audit_sampled == 0 {
-            let _ = writeln!(report, "[{tag}] audit lane sampled nothing under load");
+            let _ = writeln!(
+                report,
+                "[{tag}] audit lane sampled nothing under load (bound > 0)"
+            );
         }
         if m.audit_match_divergences > 0 || m.audit_energy_divergences > 0 {
             let _ = writeln!(
@@ -951,7 +983,7 @@ fn check_backend(run: &BackendRun, report: &mut String) {
 pub fn run(
     args: &[String],
     parse_design: impl Fn(&str) -> Result<DesignKind, String>,
-) -> Result<(), String> {
+) -> Result<(), CliError> {
     let opts = parse_opts(args, parse_design)?;
     let dir = std::env::var("FERROTCAM_RESULTS").unwrap_or_else(|_| "results".into());
     let (metrics, write_metrics) = match opts.characterize {
@@ -967,7 +999,7 @@ pub fn run(
                 opts.width,
                 row_parasitics(design, &tech),
             )
-            .map_err(|e| format!("characterisation failed: {e}"))?;
+            .map_err(|e| CliError::Failed(format!("characterisation failed: {e}")))?;
             // The search characterisation does not produce write-path
             // figures; price writes from the paper's program staircase.
             let wm = Calibration::paper_defaults(design).write_metrics(opts.width);
@@ -1031,10 +1063,11 @@ pub fn run(
         target: "serve",
         curves,
     };
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {dir}: {e}"))?;
+    std::fs::create_dir_all(&dir).map_err(|e| CliError::Failed(format!("create {dir}: {e}")))?;
     let path = std::path::Path::new(&dir).join("BENCH_serve.json");
     let json = serde_json::to_string_pretty(&file).expect("serialise bench file");
-    std::fs::write(&path, json).map_err(|e| format!("write {}: {e}", path.display()))?;
+    std::fs::write(&path, json)
+        .map_err(|e| CliError::Failed(format!("write {}: {e}", path.display())))?;
     println!("wrote {}", path.display());
 
     // --- Acceptance invariants --------------------------------------------
@@ -1063,17 +1096,14 @@ pub fn run(
         if b < s * 2.0 {
             let _ = writeln!(
                 report,
-                "behavioural open loop ({b:.0} qps) is not ahead of spice ({s:.0} qps)"
+                "behavioural open loop ({b:.0} qps) is not ahead of spice ({s:.0} qps; bound >= 2x)"
             );
         }
     }
-    if report.is_empty() {
-        println!("serve-bench invariants hold: monotone scaling, bounded shedding, energy-true accounting, audit lane clean");
-        Ok(())
-    } else if opts.smoke {
-        Err(format!("serve-bench smoke failed:\n{report}"))
-    } else {
-        println!("warning (non-smoke run, not fatal):\n{report}");
-        Ok(())
-    }
+    gate_verdict(
+        "serve-bench",
+        &report,
+        opts.smoke,
+        "serve-bench invariants hold: monotone scaling, bounded shedding, energy-true accounting, audit lane clean",
+    )
 }

@@ -1,6 +1,7 @@
 //! `ferrotcam trace` — run one instrumented row search and render the
 //! observability output (human summary or NDJSON event stream).
 
+use crate::CliError;
 use ferrotcam_spice::trace::{self, TraceLevel};
 
 /// Run the `trace` subcommand.
@@ -13,7 +14,7 @@ use ferrotcam_spice::trace::{self, TraceLevel};
 /// # Errors
 /// Human-readable messages for bad arguments, simulation failures, or
 /// an unwritable `--out` path.
-pub fn run(args: &[String]) -> Result<(), String> {
+pub fn run(args: &[String]) -> Result<(), CliError> {
     let mut positional = Vec::new();
     let mut ndjson = false;
     let mut level_flag = None;
@@ -32,7 +33,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 );
             }
             other if other.starts_with("--") => {
-                return Err(format!("unknown trace flag {other:?}"));
+                return Err(format!("unknown trace flag {other:?}").into());
             }
             other => positional.push(other.to_string()),
         }
@@ -73,7 +74,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
     trace::reset();
 
     let mut sim = crate::commands::build(design, &stored, &query)?;
-    let run = sim.run().map_err(|e| format!("transient failed: {e}"))?;
+    let run = sim
+        .run()
+        .map_err(|e| CliError::Failed(format!("transient failed: {e}")))?;
     let stats = run.trace.stats();
 
     if ndjson {
@@ -83,11 +86,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
             Some(path) => {
                 if let Some(dir) = std::path::Path::new(&path).parent() {
                     if !dir.as_os_str().is_empty() {
-                        std::fs::create_dir_all(dir)
-                            .map_err(|e| format!("creating {}: {e}", dir.display()))?;
+                        std::fs::create_dir_all(dir).map_err(|e| {
+                            CliError::Failed(format!("creating {}: {e}", dir.display()))
+                        })?;
                     }
                 }
-                std::fs::write(&path, &body).map_err(|e| format!("writing {path}: {e}"))?;
+                std::fs::write(&path, &body)
+                    .map_err(|e| CliError::Failed(format!("writing {path}: {e}")))?;
                 println!(
                     "wrote {} event(s) to {path} ({} accepted / {} rejected step(s) in SimStats)",
                     events.len(),
@@ -116,7 +121,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn run_args(args: &[&str]) -> Result<(), String> {
+    fn run_args(args: &[&str]) -> Result<(), CliError> {
         let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         run(&v)
     }

@@ -10,7 +10,8 @@
 //! from many clients, pass per-tenant admission control
 //! ([`admission`]), queue in per-shard bounded lock-free rings
 //! ([`queue`]), get coalesced into per-bank batches ([`batch`]) by
-//! per-shard work-stealing dispatchers, execute on copy-on-write shard
+//! per-shard work-stealing dispatchers (which park when idle and are
+//! woken on push, [`park`]), execute on copy-on-write shard
 //! snapshots ([`shard`]) through a tiered execution backend
 //! ([`backend`]) — the scalar reference walk or the bit-parallel
 //! behavioural tier with a sampled audit lane that replays answers
@@ -70,6 +71,7 @@ pub mod backend;
 pub mod batch;
 pub mod drain;
 pub mod metrics;
+pub mod park;
 pub mod queue;
 pub mod request;
 pub mod service;
@@ -83,8 +85,10 @@ pub use backend::{
 };
 pub use drain::DrainGate;
 pub use metrics::{
-    Histogram, KindBreakdown, LatencySummary, MetricsCollector, ResponseSample, ServiceMetrics,
+    DispatcherStats, Histogram, KindBreakdown, LatencySummary, MetricsCollector, ResponseSample,
+    ServiceMetrics,
 };
+pub use park::Sleepers;
 pub use queue::BoundedQueue;
 pub use request::{AdmissionClass, RequestKind, KIND_COUNT};
 pub use service::{SearchResponse, ServiceClient, ServiceConfig, TcamService, Ticket};

@@ -142,6 +142,30 @@ pub struct BatchStats {
     pub p50_size: Option<f64>,
 }
 
+/// What one dispatcher thread did: the idle path's proof that it parks
+/// instead of polling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+pub struct DispatcherStats {
+    /// Batches this dispatcher pulled and executed.
+    pub batches: u64,
+    /// Of those, batches taken from a peer's ring.
+    pub steals: u64,
+    /// Times it parked its thread.
+    pub parks: u64,
+    /// Parks ended by a waker's unpark (a submit, the drain, or a peer
+    /// leaving), as opposed to a spurious return.
+    pub wakeups: u64,
+}
+
+/// Live counters behind one [`DispatcherStats`].
+#[derive(Debug, Default)]
+struct DispatcherCounters {
+    batches: AtomicU64,
+    steals: AtomicU64,
+    parks: AtomicU64,
+    wakeups: AtomicU64,
+}
+
 /// A point-in-time snapshot of everything the service measures,
 /// exported as JSON for dashboards and the bench harness.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -212,6 +236,10 @@ pub struct ServiceMetrics {
     /// Audit divergences (match or energy), split by request kind.
     #[serde(default)]
     pub audit_divergences_by_kind: KindBreakdown,
+    /// Per-dispatcher counters, indexed by shard. Absent in snapshots
+    /// taken before dispatchers parked.
+    #[serde(default)]
+    pub dispatchers: Vec<DispatcherStats>,
 }
 
 impl ServiceMetrics {
@@ -289,6 +317,9 @@ pub struct MetricsCollector {
     /// atomics because shedding happens on the submit hot path.
     shed_by_kind: [AtomicU64; KIND_COUNT],
     max_queue_depth: AtomicUsize,
+    /// One set per dispatcher; empty for a collector built with
+    /// [`MetricsCollector::new`].
+    dispatchers: Vec<DispatcherCounters>,
     inner: Mutex<Inner>,
 }
 
@@ -304,16 +335,43 @@ impl Default for MetricsCollector {
             shed_deadline: AtomicU64::new(0),
             shed_by_kind: std::array::from_fn(|_| AtomicU64::new(0)),
             max_queue_depth: AtomicUsize::new(0),
+            dispatchers: Vec::new(),
             inner: Mutex::new("serve.metrics.inner", Inner::default()),
         }
     }
 }
 
 impl MetricsCollector {
-    /// Fresh collector.
+    /// Fresh collector with no per-dispatcher counters.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Fresh collector with counters for `n` dispatchers.
+    #[must_use]
+    pub fn with_dispatchers(n: usize) -> Self {
+        Self {
+            dispatchers: (0..n).map(|_| DispatcherCounters::default()).collect(),
+            ..Self::default()
+        }
+    }
+
+    /// Dispatcher `me` pulled a batch, from a peer's ring if `stolen`.
+    /// Lock-free: runs once per batch on the dispatcher.
+    pub fn on_dispatch(&self, me: usize, stolen: bool) {
+        if let Some(d) = self.dispatchers.get(me) {
+            d.batches.fetch_add(1, Ordering::Relaxed); // ordering: stat-relaxed
+            d.steals.fetch_add(u64::from(stolen), Ordering::Relaxed); // ordering: stat-relaxed
+        }
+    }
+
+    /// Dispatcher `me` parked and came back, `woken` by an unpark.
+    pub fn on_park(&self, me: usize, woken: bool) {
+        if let Some(d) = self.dispatchers.get(me) {
+            d.parks.fetch_add(1, Ordering::Relaxed); // ordering: stat-relaxed
+            d.wakeups.fetch_add(u64::from(woken), Ordering::Relaxed); // ordering: stat-relaxed
+        }
     }
 
     /// A request was accepted into the queue, which then held `depth`
@@ -469,6 +527,16 @@ impl MetricsCollector {
             },
             audit_sampled_by_kind: m.audit_sampled_by_kind,
             audit_divergences_by_kind: m.audit_divergences_by_kind,
+            dispatchers: self
+                .dispatchers
+                .iter()
+                .map(|d| DispatcherStats {
+                    batches: d.batches.load(Ordering::Relaxed), // ordering: stat-relaxed
+                    steals: d.steals.load(Ordering::Relaxed),   // ordering: stat-relaxed
+                    parks: d.parks.load(Ordering::Relaxed),     // ordering: stat-relaxed
+                    wakeups: d.wakeups.load(Ordering::Relaxed), // ordering: stat-relaxed
+                })
+                .collect(),
         }
     }
 }
@@ -572,6 +640,39 @@ mod tests {
         assert!(!stripped.contains("_by_kind"), "breakdowns really removed");
         let back: ServiceMetrics = serde_json::from_str(&stripped).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn dispatcher_counters_snapshot_and_default_when_absent() {
+        let c = MetricsCollector::with_dispatchers(2);
+        c.on_dispatch(0, false);
+        c.on_dispatch(1, true);
+        c.on_park(1, true);
+        c.on_park(1, false);
+        c.on_dispatch(7, true); // no such dispatcher: ignored
+        let snap = c.snapshot(0);
+        assert_eq!(
+            snap.dispatchers,
+            vec![
+                DispatcherStats {
+                    batches: 1,
+                    ..DispatcherStats::default()
+                },
+                DispatcherStats {
+                    batches: 1,
+                    steals: 1,
+                    parks: 2,
+                    wakeups: 1,
+                },
+            ]
+        );
+        let json = snap.to_json();
+        assert_eq!(serde_json::from_str::<ServiceMetrics>(&json).unwrap(), snap);
+        // A snapshot written before the counters existed still parses.
+        let start = json.find("\"dispatchers\"").expect("field serialised");
+        let old = format!("{}}}", json[..start].trim_end().trim_end_matches(','));
+        let back: ServiceMetrics = serde_json::from_str(&old).unwrap();
+        assert!(back.dispatchers.is_empty());
     }
 
     #[test]

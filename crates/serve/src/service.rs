@@ -25,8 +25,17 @@
 //! Dispatch is **per-shard**: one bounded queue and one dispatcher
 //! thread per shard. Pinned (key-routed) queries and row-addressed
 //! writes land on their shard's queue; fan-out queries round-robin.
-//! An idle dispatcher **steals** from its peers' queues before
-//! sleeping, so a hot shard's backlog spreads over the whole pool. A
+//! A dispatcher whose own queue is empty **steals** a batch from its
+//! peers' queues, so a hot shard's backlog spreads over the whole pool.
+//! With every queue empty it does not poll: it **snoozes** (a few
+//! rounds of `spin_loop`, then a few `yield_now`, rescanning between
+//! rounds), then **announces** in its [`Sleepers`] bit that it is going
+//! to sleep, **re-checks** the queues and the drain gate after an SC
+//! fence, and only then **parks**. Every successful submit ends with a
+//! **wake-on-push**: an SC fence and one load of the sleep bits, then an
+//! unpark of the queue's owner if it is asleep, else of one parked
+//! peer, which steals. The drain wakes every dispatcher, and the first
+//! to see the gate quiescent wakes the rest as it leaves. A
 //! dispatcher pulls up to `max_batch` requests, applies the batch's
 //! writes through [`crate::shard::LiveTable`] (publishing one fresh
 //! epoch per touched shard), then captures a [`crate::shard::SnapView`]
@@ -70,6 +79,7 @@ use crate::backend::{
 };
 use crate::drain::DrainGate;
 use crate::metrics::{MetricsCollector, ResponseSample, ServiceMetrics};
+use crate::park::Sleepers;
 use crate::queue::BoundedQueue;
 use crate::request::{AdmissionClass, RequestKind};
 use crate::shard::{hash_packed, LiveTable, ShardedTcam, SnapView, WriteAck, WriteOp};
@@ -223,6 +233,8 @@ struct Inner {
     /// Drain flag + accepted/completed request accounting, global
     /// across every queue and dispatcher.
     gate: DrainGate,
+    /// Which dispatchers are parked; submitters wake them on push.
+    sleepers: Sleepers,
     max_batch: usize,
     t_bank: f64,
     /// Queries older than this at dispatch are shed unanswered.
@@ -425,6 +437,7 @@ impl ServiceClient {
             return Err(Overloaded::QueueFull);
         }
         inner.metrics.on_submit(inner.queues[qi].len());
+        inner.sleepers.wake_for(qi);
         Ok(())
     }
 
@@ -524,8 +537,9 @@ impl TcamService {
                 config.approx_policy,
                 config.write_policy,
             ),
-            metrics: MetricsCollector::new(),
+            metrics: MetricsCollector::with_dispatchers(shards),
             gate: DrainGate::new(),
+            sleepers: Sleepers::new(shards),
             max_batch: max_batch.max(1),
             t_bank,
             deadline: config.deadline,
@@ -571,6 +585,8 @@ impl TcamService {
 
     fn begin_drain_and_join(&mut self) {
         self.inner.gate.begin_drain();
+        // Parked dispatchers must wake to see the drain and exit.
+        self.inner.sleepers.wake_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -583,11 +599,23 @@ impl Drop for TcamService {
     }
 }
 
+/// Idle rounds a dispatcher spins (2^round `spin_loop` hints each)
+/// before it starts yielding.
+const SPIN_ROUNDS: u32 = 6;
+/// Idle rounds a dispatcher yields its core after spinning, before it
+/// parks. The spins and yields catch back-to-back arrivals without a
+/// futex wake-up on either side; parking on the first empty scan made
+/// the 4-shard closed loop slower than the 2-shard one.
+const YIELD_ROUNDS: u32 = 4;
+
 /// Dispatcher `me`'s main loop: drain the own queue first; when it is
 /// empty, steal a batch from a peer's queue (cyclic scan starting at
 /// the next shard, so thieves spread instead of convoying); execute;
 /// exit only when draining and every accepted request has resolved.
+/// With nothing to do it snoozes, then parks until a submitter, the
+/// drain or an exiting peer wakes it ([`Sleepers`]).
 fn dispatch_loop(inner: &Inner, me: usize) {
+    inner.sleepers.register(me);
     // The audit sampler's per-dispatcher monotone counter: advancing it
     // per accepted behavioural job makes the 1-in-`period` sample
     // deterministic for a given seed, independent of batching and of
@@ -598,8 +626,10 @@ fn dispatch_loop(inner: &Inner, me: usize) {
     // iteration (the analyzer's hot-path-alloc rule keeps it that way).
     let mut batch: Vec<Job> = Vec::with_capacity(inner.max_batch);
     let n = inner.queues.len();
+    let mut idle_rounds = 0u32;
     loop {
         inner.queues[me].drain_into(&mut batch, inner.max_batch);
+        let mut stolen = false;
         if batch.is_empty() {
             // Work stealing: take a whole batch from the first
             // non-empty peer. The queue is MPMC, so concurrent thieves
@@ -607,19 +637,39 @@ fn dispatch_loop(inner: &Inner, me: usize) {
             for off in 1..n {
                 inner.queues[(me + off) % n].drain_into(&mut batch, inner.max_batch);
                 if !batch.is_empty() {
+                    stolen = true;
                     break;
                 }
             }
         }
-        if batch.is_empty() {
-            if inner.gate.quiescent() && inner.queues.iter().all(BoundedQueue::is_empty) {
-                break;
-            }
-            sync::idle_wait();
+        if !batch.is_empty() {
+            idle_rounds = 0;
+            inner.metrics.on_dispatch(me, stolen);
+            execute_batch(inner, me, &mut batch, &mut audit_counter);
             continue;
         }
-        execute_batch(inner, me, &mut batch, &mut audit_counter);
+        if inner.gate.quiescent() && inner.queues.iter().all(BoundedQueue::is_empty) {
+            break;
+        }
+        if idle_rounds < SPIN_ROUNDS {
+            for _ in 0..1u32 << idle_rounds {
+                std::hint::spin_loop();
+            }
+        } else if idle_rounds < SPIN_ROUNDS + YIELD_ROUNDS {
+            sync::yield_now();
+        } else {
+            let has_work = || inner.gate.quiescent() || inner.queues.iter().any(|q| !q.is_empty());
+            if let Some(woken) = inner.sleepers.sleep(me, has_work) {
+                inner.metrics.on_park(me, woken);
+            }
+            idle_rounds = 0;
+            continue;
+        }
+        idle_rounds += 1;
     }
+    // Whoever leaves first saw the gate quiescent; peers still parked
+    // must wake to see it too.
+    inner.sleepers.wake_all();
 }
 
 /// Per-kind bank-occupancy multiplier for the batch planner. With a
@@ -1042,6 +1092,91 @@ mod tests {
             Overloaded::ShuttingDown
         );
         assert_eq!(client.metrics().shed_shutting_down, 1);
+    }
+
+    /// Leave the service idle for 50 ms, then until every dispatcher
+    /// is parked.
+    fn idle_until_all_parked(svc: &TcamService) {
+        std::thread::sleep(Duration::from_millis(50));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !svc.inner.sleepers.all_asleep() {
+            assert!(Instant::now() < deadline, "dispatchers never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn drain_wakes_parked_dispatchers() {
+        let svc = TcamService::start(table(64, 4), &ServiceConfig::default());
+        let client = svc.client();
+        idle_until_all_parked(&svc);
+        let routed = exact(&client, 0, 9, Some(1)).unwrap();
+        let fanout = exact(&client, 0, 9, None).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let drainer = std::thread::spawn(move || tx.send(svc.drain()).expect("test waits"));
+        let m = rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("drain returns within 1 s");
+        drainer.join().expect("drainer");
+        assert!(routed.wait().is_some(), "routed query answered");
+        assert!(fanout.wait().is_some(), "fan-out query answered");
+        assert_eq!(m.completed, 2);
+        assert_eq!(m.dispatchers.len(), 4);
+        assert!(m.dispatchers.iter().all(|d| d.parks >= 1 && d.wakeups >= 1));
+    }
+
+    #[test]
+    fn parked_peers_steal_a_busy_owners_backlog() {
+        let svc = TcamService::start(table(64, 4), &ServiceConfig::default());
+        let client = svc.client();
+        idle_until_all_parked(&svc);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        // The dispatcher that pulls this write stalls inside its batch
+        // until the write lock is released. Nothing below may panic
+        // while the lock is held: a poisoned lock would take the stalled
+        // dispatcher down with its job and hang the drain.
+        let hold = svc.inner.table.hold_writes();
+        let write = client
+            .submit_update(0, 0, TernaryWord::from_u64(0, 8))
+            .unwrap();
+        let busy = loop {
+            let m = client.metrics();
+            let busy = m.dispatchers.iter().position(|d| d.batches == 1);
+            if busy.is_some() || Instant::now() > deadline {
+                break busy;
+            }
+            std::thread::yield_now();
+        };
+        // A backlog on the busy dispatcher's own ring: each push finds
+        // the owner awake and wakes a parked peer instead.
+        let mut pending: Vec<Ticket> = busy.map_or_else(Vec::new, |b| {
+            (0..16)
+                .filter_map(|v| exact(&client, 0, v * 3, Some(b)).ok())
+                .collect()
+        });
+        while !pending.is_empty() && Instant::now() < deadline {
+            pending.retain(|t| t.try_wait().is_none());
+            std::thread::yield_now();
+        }
+        let owner_stalled = write.try_wait().is_none();
+        drop(hold);
+        let busy = busy.expect("a dispatcher pulled the write");
+        assert!(pending.is_empty(), "backlog stranded behind the busy owner");
+        assert!(owner_stalled, "the owner was busy throughout");
+        assert!(write.wait().is_some(), "the write lands once released");
+        let m = svc.drain();
+        assert_eq!(m.completed, 17);
+        assert_eq!(
+            m.dispatchers[busy].steals, 0,
+            "the owner ran only the write"
+        );
+        assert!(
+            m.dispatchers
+                .iter()
+                .any(|d| d.steals >= 1 && d.wakeups >= 1),
+            "a woken peer stole the backlog: {:?}",
+            m.dispatchers
+        );
     }
 
     #[test]

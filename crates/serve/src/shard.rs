@@ -661,6 +661,14 @@ impl LiveTable {
         }
     }
 
+    /// Hold the write lock: any dispatcher whose batch carries a write
+    /// stalls until the guard drops. Tests use it to keep one
+    /// dispatcher busy.
+    #[cfg(all(test, not(loom)))]
+    pub(crate) fn hold_writes(&self) -> crate::sync::MutexGuard<'_, ()> {
+        self.write_order.lock()
+    }
+
     /// Convert a built table into its served (write-accepting) form,
     /// carrying over both metric attachments.
     #[must_use]

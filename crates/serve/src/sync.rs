@@ -2,8 +2,8 @@
 //! model checker's shimmed equivalents under `RUSTFLAGS="--cfg loom"`.
 //!
 //! Every concurrency primitive the crate touches is imported from here
-//! — [`crate::queue`], [`crate::drain`], [`crate::admission`] and
-//! [`crate::metrics`] alike — so the exact same algorithm source is
+//! — [`crate::queue`], [`crate::drain`], [`crate::admission`],
+//! [`crate::metrics`] and the parking in [`crate::park`] alike — so the exact same algorithm source is
 //! compiled against both substrates: the real one in production and the
 //! exhaustively-scheduled one in the `tests/loom.rs` models. The
 //! `ferrotcam analyze` façade pass (`facade-bypass` rule) denies any
@@ -38,10 +38,19 @@
 //! analyzer rule).
 
 #[cfg(loom)]
-pub(crate) use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+pub(crate) use loom::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 #[cfg(not(loom))]
-pub(crate) use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+pub(crate) use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+
+// Parking for idle dispatchers ([`crate::park`]): `std::thread`'s
+// token-semantics park/unpark, or the loom shim that models the same
+// tokens and reports a lost wake-up as a deadlock.
+#[cfg(loom)]
+pub(crate) use loom::thread::{current, park, yield_now, Thread};
+
+#[cfg(not(loom))]
+pub(crate) use std::thread::{current, park, yield_now, Thread};
 
 #[cfg(loom)]
 use loom::sync::Mutex as RawMutex;
@@ -129,19 +138,6 @@ impl<T> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
         order::on_release(self.name);
     }
-}
-
-/// One idle beat of a dispatcher that found every queue empty: a short
-/// real sleep in production, a scheduler yield under loom (where
-/// sleeping has no meaning and the model checker owns time).
-#[cfg(not(loom))]
-pub(crate) fn idle_wait() {
-    std::thread::sleep(std::time::Duration::from_micros(20));
-}
-
-#[cfg(loom)]
-pub(crate) fn idle_wait() {
-    loom::thread::yield_now();
 }
 
 /// The lock-order shadow. Compiled to no-ops in release builds and

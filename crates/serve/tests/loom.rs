@@ -27,10 +27,15 @@
 //!   on one dispatcher's ring is executed exactly once even when the
 //!   idle peer steals it, and both dispatchers exit only after the
 //!   drained gate is quiescent with every ring empty.
+//! * [`Sleepers`] — parking: a push racing a dispatcher's announce /
+//!   re-check / park never strands the job, and a drain wakes every
+//!   parked dispatcher so each exits once the queued job ran. A lost
+//!   wake-up leaves a thread parked for good, which the checker reports
+//!   as a deadlock.
 #![cfg(loom)]
 
 use ferrotcam_serve::queue::BoundedQueue;
-use ferrotcam_serve::{Admission, AdmissionClass, DrainGate, EpochCell, RatePolicy};
+use ferrotcam_serve::{Admission, AdmissionClass, DrainGate, EpochCell, RatePolicy, Sleepers};
 use loom::sync::atomic::{AtomicUsize, Ordering};
 use loom::sync::Arc;
 use loom::thread;
@@ -362,5 +367,116 @@ fn drain_quiescence_counts_every_accept() {
         assert!(accepted <= 2);
         assert!(gate.quiescent(), "{accepted} accepts, gate not quiescent");
         assert!(!gate.try_accept(), "drained gate accepted new work");
+    });
+}
+
+/// Re-check rounds a model dispatcher may spend without parking or
+/// popping before it gives up. `pop` answers `None` while a push is
+/// half done even though the ring already reads non-empty, so the
+/// re-check can send the dispatcher round again; in the service the
+/// pusher finishes in parallel, but the checker may starve it forever,
+/// which would make the executions unbounded (see
+/// `work_stealing_drain_executes_every_job_exactly_once`). Giving up
+/// models that starvation and carries no assert. A park is not a round:
+/// a dispatcher parked with nobody left to wake it is still reported
+/// as a deadlock.
+const RECHECK_ROUNDS: usize = 3;
+
+/// A push racing the dispatcher's announce / re-check / park: the
+/// dispatcher runs the service's idle step (`Sleepers::sleep` with the
+/// same "a ring is non-empty or the gate is quiescent" re-check) until
+/// it pops the job, while a client accepts, pushes and wakes the owner.
+/// Nothing else wakes the dispatcher, so a lost wake-up parks it for
+/// good and the checker reports the deadlock.
+#[test]
+fn push_racing_park_never_strands_the_job() {
+    loom::model(|| {
+        let ring = Arc::new(BoundedQueue::new(2));
+        let gate = Arc::new(DrainGate::new());
+        let sleepers = Arc::new(Sleepers::new(1));
+        let dispatcher = {
+            let (ring, gate, sleepers) =
+                (Arc::clone(&ring), Arc::clone(&gate), Arc::clone(&sleepers));
+            thread::spawn(move || {
+                sleepers.register(0);
+                let mut rechecks = 0;
+                while rechecks < RECHECK_ROUNDS {
+                    if let Some(v) = ring.pop() {
+                        gate.complete();
+                        return Some(v);
+                    }
+                    if sleepers
+                        .sleep(0, || gate.quiescent() || !ring.is_empty())
+                        .is_none()
+                    {
+                        rechecks += 1;
+                    }
+                }
+                None
+            })
+        };
+        assert!(gate.try_accept(), "gate open");
+        ring.push(7u32).unwrap();
+        sleepers.wake_for(0);
+        let popped = dispatcher.join().unwrap();
+        assert!(popped.is_none_or(|v| v == 7), "ring handed back {popped:?}");
+    });
+}
+
+/// The drain with both dispatchers parked: a job sits on ring 0 with no
+/// push wake-up, then the drain begins and wakes everyone. Each
+/// dispatcher runs the service loop — own ring, steal, exit on
+/// quiescence, otherwise park — and wakes its peers when it leaves. The
+/// job must run exactly once and no dispatcher may exit before it ran;
+/// a dispatcher left parked is reported as a deadlock at the join.
+#[test]
+fn drain_wakes_parked_dispatchers_and_both_exit() {
+    loom::model(|| {
+        let rings = Arc::new([BoundedQueue::new(2), BoundedQueue::new(2)]);
+        let gate = Arc::new(DrainGate::new());
+        let sleepers = Arc::new(Sleepers::new(2));
+        let done = Arc::new(AtomicUsize::new(0));
+        let dispatchers: Vec<_> = (0..2usize)
+            .map(|me| {
+                let (q, g, s, d) = (
+                    Arc::clone(&rings),
+                    Arc::clone(&gate),
+                    Arc::clone(&sleepers),
+                    Arc::clone(&done),
+                );
+                thread::spawn(move || {
+                    s.register(me);
+                    let mut rechecks = 0;
+                    while rechecks < RECHECK_ROUNDS {
+                        if let Some(v) = q[me].pop().or_else(|| q[1 - me].pop()) {
+                            assert_eq!(v, 7, "ring handed back a corrupted job");
+                            d.fetch_add(1, Ordering::SeqCst);
+                            g.complete();
+                        } else if g.quiescent() && q.iter().all(|r| r.is_empty()) {
+                            assert_eq!(
+                                d.load(Ordering::SeqCst),
+                                1,
+                                "dispatcher exited with the job still queued or in flight"
+                            );
+                            s.wake_all();
+                            return;
+                        } else if s
+                            .sleep(me, || g.quiescent() || q.iter().any(|r| !r.is_empty()))
+                            .is_none()
+                        {
+                            rechecks += 1;
+                        }
+                    }
+                })
+            })
+            .collect();
+        assert!(gate.try_accept(), "gate open before drain");
+        rings[0].push(7u32).unwrap();
+        gate.begin_drain();
+        sleepers.wake_all();
+        for h in dispatchers {
+            h.join().unwrap();
+        }
+        assert!(done.load(Ordering::SeqCst) <= 1, "job executed twice");
     });
 }
