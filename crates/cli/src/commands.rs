@@ -237,7 +237,7 @@ fn search(args: &[String]) -> CliResult {
     if design.is_two_step() && stored.len() % 2 != 0 {
         return Err("1.5T designs pair cells: use an even word length".into());
     }
-    let mut sim = build(design, &stored, &query)?;
+    let mut sim = build(design, &stored, &query).map_err(CliError::Failed)?;
     let run = sim
         .run()
         .map_err(|e| CliError::Failed(format!("transient failed: {e}")))?;
@@ -406,7 +406,7 @@ fn export(args: &[String]) -> CliResult {
     let design = parse_design(design)?;
     let stored = parse_word(stored)?;
     let query = parse_query(query, stored.len())?;
-    let sim = build(design, &stored, &query)?;
+    let sim = build(design, &stored, &query).map_err(CliError::Failed)?;
     println!(
         "{}",
         sim.circuit
@@ -419,8 +419,8 @@ fn table_lookup(args: &[String]) -> CliResult {
     let [path, query] = args else {
         return Err("usage: ferrotcam table <file> <query-bits>".into());
     };
-    let tcam =
-        ferrotcam::table_io::load_table(std::path::Path::new(path)).map_err(|e| e.to_string())?;
+    let tcam = ferrotcam::table_io::load_table(std::path::Path::new(path))
+        .map_err(|e| CliError::Failed(e.to_string()))?;
     let q = parse_query(query, tcam.width())?;
     let outcome = tcam.search(&q);
     println!(
@@ -517,6 +517,26 @@ mod tests {
         run(&["table", path.to_str().unwrap(), "1011"]).unwrap();
         assert!(run(&["table", path.to_str().unwrap(), "10"]).is_err());
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn unreadable_tables_are_failures_not_usage_errors() {
+        let dir = std::env::temp_dir().join("ferrotcam-cli-test-bad");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ragged = dir.join("ragged.tcam");
+        std::fs::write(&ragged, "10X1\n00\n").unwrap();
+        let missing = dir.join("missing.tcam");
+        for path in [&ragged, &missing] {
+            assert!(
+                matches!(
+                    run(&["table", path.to_str().unwrap(), "1011"]),
+                    Err(CliError::Failed(_))
+                ),
+                "{}",
+                path.display()
+            );
+        }
+        std::fs::remove_file(ragged).ok();
     }
 
     #[test]

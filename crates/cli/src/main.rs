@@ -26,7 +26,8 @@ pub(crate) enum CliError {
     Failed(String),
 }
 
-/// Errors raised while reading arguments are usage errors.
+/// Errors raised while reading arguments are usage errors; a command
+/// maps its runtime failures to [`CliError::Failed`] explicitly.
 impl From<String> for CliError {
     fn from(msg: String) -> Self {
         Self::Usage(msg)

@@ -73,7 +73,7 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     trace::set_level(level);
     trace::reset();
 
-    let mut sim = crate::commands::build(design, &stored, &query)?;
+    let mut sim = crate::commands::build(design, &stored, &query).map_err(CliError::Failed)?;
     let run = sim
         .run()
         .map_err(|e| CliError::Failed(format!("transient failed: {e}")))?;

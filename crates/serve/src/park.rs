@@ -24,19 +24,24 @@
 //! submitter whose owner is awake can hand its wake-up to a parked
 //! peer instead, which keeps work stealing alive while dispatchers
 //! sleep. When nobody is asleep, [`Sleepers::wake_for`] costs one fence
-//! and one load (for up to 64 dispatchers) and makes no syscall.
+//! and one load and makes no syscall: every dispatcher's bit lives in
+//! one word, so a service runs at most [`MAX_SLEEPERS`] dispatchers.
 //!
-//! `tests/loom.rs` model-checks the handshake against a racing push and
-//! against a drain that must wake every parked dispatcher.
+//! `tests/loom.rs` model-checks the handshake against a racing push,
+//! against a drain that must wake every parked dispatcher, and against
+//! a shed submit whose retraction makes the drained gate quiescent.
 
 use crate::sync::{current, fence, park, AtomicU64, Mutex, Ordering, Thread};
+
+/// Most dispatchers one [`Sleepers`] tracks: one bit each in one word.
+pub const MAX_SLEEPERS: usize = 64;
 
 /// Which dispatchers are parked (or about to park), and their threads.
 #[derive(Debug)]
 pub struct Sleepers {
-    /// Bit `i % 64` of word `i / 64`: dispatcher `i` announced that it
-    /// is going to park and nobody has claimed its wake-up yet.
-    asleep: Vec<AtomicU64>,
+    /// Bit `i`: dispatcher `i` announced that it is going to park and
+    /// nobody has claimed its wake-up yet.
+    asleep: AtomicU64,
     /// Each dispatcher's thread, registered by the dispatcher itself
     /// before its first announcement. Locked only to unpark.
     threads: Vec<Mutex<Option<Thread>>>,
@@ -44,10 +49,17 @@ pub struct Sleepers {
 
 impl Sleepers {
     /// Bookkeeping for `n` dispatchers, none of them asleep.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds [`MAX_SLEEPERS`].
     #[must_use]
     pub fn new(n: usize) -> Self {
+        assert!(
+            n <= MAX_SLEEPERS,
+            "{n} dispatchers; at most {MAX_SLEEPERS} can park"
+        );
         Self {
-            asleep: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            asleep: AtomicU64::new(0),
             threads: (0..n)
                 .map(|_| Mutex::new("serve.park.thread", None))
                 .collect(),
@@ -66,9 +78,7 @@ impl Sleepers {
     /// announcement, as opposed to a spurious return or a token left
     /// over from an earlier wake-up.
     pub fn sleep(&self, me: usize, has_work: impl FnOnce() -> bool) -> Option<bool> {
-        let (word, bit) = slot(me);
-        // ordering: park-flag-acqrel
-        self.asleep[word].fetch_or(bit, Ordering::AcqRel);
+        self.asleep.fetch_or(1 << me, Ordering::AcqRel); // ordering: park-flag-acqrel
         fence(Ordering::SeqCst); // ordering: park-sc-fence
         if has_work() {
             self.claim(me);
@@ -82,57 +92,46 @@ impl Sleepers {
     /// owner if it is asleep, else one parked peer, which will steal.
     pub fn wake_for(&self, owner: usize) {
         fence(Ordering::SeqCst); // ordering: park-sc-fence
-        let (own_word, own_bit) = slot(owner);
-        let bits = self.asleep[own_word].load(Ordering::Relaxed); // ordering: park-peek-relaxed
-        if bits & own_bit != 0 && self.claim(owner) {
+        let bits = self.asleep.load(Ordering::Relaxed); // ordering: park-peek-relaxed
+        if bits & 1 << owner != 0 && self.claim(owner) {
             self.unpark(owner);
             return;
         }
-        for (w, word) in self.asleep.iter().enumerate() {
-            let mut peers = if w == own_word {
-                bits & !own_bit
-            } else {
-                word.load(Ordering::Relaxed) // ordering: park-peek-relaxed
-            };
-            while peers != 0 {
-                let peer = w * 64 + peers.trailing_zeros() as usize;
-                if self.claim(peer) {
-                    self.unpark(peer);
-                    return;
-                }
-                peers &= peers - 1;
+        let mut peers = bits & !(1 << owner);
+        while peers != 0 {
+            let peer = peers.trailing_zeros() as usize;
+            if self.claim(peer) {
+                self.unpark(peer);
+                return;
             }
+            peers &= peers - 1;
         }
     }
 
     /// Unpark every dispatcher that is asleep: the drain began, or the
-    /// gate went quiescent and the sleepers must see it to exit.
+    /// gate may have gone quiescent and the sleepers must see it to exit.
     pub fn wake_all(&self) {
         fence(Ordering::SeqCst); // ordering: park-sc-fence
-        for (w, word) in self.asleep.iter().enumerate() {
-            let mut bits = word.swap(0, Ordering::AcqRel); // ordering: park-flag-acqrel
-            while bits != 0 {
-                self.unpark(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
+        let mut bits = self.asleep.swap(0, Ordering::AcqRel); // ordering: park-flag-acqrel
+        while bits != 0 {
+            self.unpark(bits.trailing_zeros() as usize);
+            bits &= bits - 1;
         }
     }
 
     /// Whether every dispatcher has announced that it is parking.
     #[cfg(all(test, not(loom)))]
     pub(crate) fn all_asleep(&self) -> bool {
-        let n = self.threads.len();
-        // ordering: park-peek-relaxed
-        (0..n).all(|i| self.asleep[i / 64].load(Ordering::Relaxed) & slot(i).1 != 0)
+        let all = u64::MAX >> (64 - self.threads.len());
+        self.asleep.load(Ordering::Relaxed) & all == all // ordering: park-peek-relaxed
     }
 
     /// Clear dispatcher `i`'s bit; true if this call cleared it. A
     /// waker must win this before it unparks `i`; the sleeper uses it
     /// to withdraw its announcement.
     fn claim(&self, i: usize) -> bool {
-        let (word, bit) = slot(i);
         // ordering: park-flag-acqrel
-        self.asleep[word].fetch_and(!bit, Ordering::AcqRel) & bit != 0
+        self.asleep.fetch_and(!(1 << i), Ordering::AcqRel) & 1 << i != 0
     }
 
     fn unpark(&self, i: usize) {
@@ -142,19 +141,14 @@ impl Sleepers {
     }
 }
 
-/// Word index and bit mask of dispatcher `i`.
-fn slot(i: usize) -> (usize, u64) {
-    (i / 64, 1 << (i % 64))
-}
-
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// Sleep bits of word `w` (tests only look, on one thread).
-    fn bits(s: &Sleepers, w: usize) -> u64 {
-        s.asleep[w].load(Ordering::Relaxed) // ordering: park-peek-relaxed
+    /// The sleep bits (tests only look, on one thread).
+    fn bits(s: &Sleepers) -> u64 {
+        s.asleep.load(Ordering::Relaxed) // ordering: park-peek-relaxed
     }
 
     #[test]
@@ -163,24 +157,19 @@ mod tests {
         for i in 0..3 {
             s.register(i);
         }
-        for i in 0..3 {
-            s.asleep[0].fetch_or(1 << i, Ordering::AcqRel); // ordering: park-flag-acqrel
-        }
+        s.asleep.fetch_or(0b111, Ordering::AcqRel); // ordering: park-flag-acqrel
         s.wake_for(1);
-        assert_eq!(bits(&s, 0), 0b101, "owner claimed");
+        assert_eq!(bits(&s), 0b101, "owner claimed");
         s.wake_for(1);
-        assert_eq!(bits(&s, 0), 0b100, "one peer claimed");
+        assert_eq!(bits(&s), 0b100, "one peer claimed");
         s.wake_all();
-        assert_eq!(bits(&s, 0), 0, "all claimed");
+        assert_eq!(bits(&s), 0, "all claimed");
     }
 
     #[test]
-    fn dispatchers_past_64_use_further_words() {
-        let s = Sleepers::new(70);
-        s.register(69);
-        s.asleep[1].fetch_or(1 << 5, Ordering::AcqRel); // ordering: park-flag-acqrel
-        s.wake_for(0);
-        assert_eq!(bits(&s, 1), 0, "peer 69 claimed");
+    #[should_panic(expected = "at most 64")]
+    fn more_dispatchers_than_bits_is_refused() {
+        let _ = Sleepers::new(MAX_SLEEPERS + 1);
     }
 
     #[test]
@@ -216,6 +205,6 @@ mod tests {
         let s = Sleepers::new(2);
         s.register(0);
         assert_eq!(s.sleep(0, || true), None);
-        assert_eq!(bits(&s, 0), 0, "announcement withdrawn");
+        assert_eq!(bits(&s), 0, "announcement withdrawn");
     }
 }

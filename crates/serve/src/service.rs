@@ -431,8 +431,14 @@ impl ServiceClient {
             tx,
         };
         if inner.queues[qi].push(job).is_err() {
-            // Give the acceptance back before reporting the shed.
+            // Give the acceptance back before reporting the shed. During
+            // a drain the retraction can be what makes the gate
+            // quiescent, after every dispatcher re-checked and parked:
+            // wake them to see it.
             inner.gate.retract();
+            if inner.gate.is_draining() {
+                inner.sleepers.wake_all();
+            }
             inner.metrics.on_shed(Overloaded::QueueFull, kind);
             return Err(Overloaded::QueueFull);
         }
@@ -506,7 +512,8 @@ impl TcamService {
     /// priced by the calibrated 3-step program.
     ///
     /// # Panics
-    /// Panics if a dispatcher thread cannot be spawned.
+    /// Panics if the table has more than [`crate::park::MAX_SLEEPERS`]
+    /// shards, or if a dispatcher thread cannot be spawned.
     #[must_use]
     pub fn start(table: ShardedTcam, config: &ServiceConfig) -> Self {
         let t_bank = config

@@ -28,10 +28,11 @@
 //!   idle peer steals it, and both dispatchers exit only after the
 //!   drained gate is quiescent with every ring empty.
 //! * [`Sleepers`] — parking: a push racing a dispatcher's announce /
-//!   re-check / park never strands the job, and a drain wakes every
-//!   parked dispatcher so each exits once the queued job ran. A lost
-//!   wake-up leaves a thread parked for good, which the checker reports
-//!   as a deadlock.
+//!   re-check / park never strands the job, a drain wakes every parked
+//!   dispatcher so each exits once the queued job ran, and a shed
+//!   submit whose retraction makes the drained gate quiescent wakes
+//!   them too. A lost wake-up leaves a thread parked for good, which
+//!   the checker reports as a deadlock.
 #![cfg(loom)]
 
 use ferrotcam_serve::queue::BoundedQueue;
@@ -423,53 +424,73 @@ fn push_racing_park_never_strands_the_job() {
     });
 }
 
+/// Two model dispatchers sharing two rings, a gate, the sleep bits
+/// and a count of jobs run.
+type Pool = (
+    Arc<[BoundedQueue<u32>; 2]>,
+    Arc<DrainGate>,
+    Arc<Sleepers>,
+    Arc<AtomicUsize>,
+);
+
+/// Spawn dispatcher `me` of the pool running the service loop: own
+/// ring, steal, exit on quiescence (waking its peers as it leaves),
+/// otherwise park. Exiting before every queued job ran fails the
+/// model; so does a park nobody ever wakes (a deadlock at the join).
+fn spawn_dispatcher(me: usize, (q, g, s, d): Pool, queued: usize) -> thread::JoinHandle<()> {
+    thread::spawn(move || {
+        s.register(me);
+        let mut rechecks = 0;
+        while rechecks < RECHECK_ROUNDS {
+            if let Some(v) = q[me].pop().or_else(|| q[1 - me].pop()) {
+                assert_eq!(v, 7, "ring handed back a corrupted job");
+                d.fetch_add(1, Ordering::SeqCst);
+                g.complete();
+            } else if g.quiescent() && q.iter().all(|r| r.is_empty()) {
+                assert_eq!(
+                    d.load(Ordering::SeqCst),
+                    queued,
+                    "dispatcher exited with a job still queued or in flight"
+                );
+                s.wake_all();
+                return;
+            } else if s
+                .sleep(me, || g.quiescent() || q.iter().any(|r| !r.is_empty()))
+                .is_none()
+            {
+                rechecks += 1;
+            }
+        }
+    })
+}
+
+/// A fresh two-dispatcher pool with empty rings, an open gate and
+/// nobody asleep.
+fn pool() -> Pool {
+    (
+        Arc::new([BoundedQueue::new(2), BoundedQueue::new(2)]),
+        Arc::new(DrainGate::new()),
+        Arc::new(Sleepers::new(2)),
+        Arc::new(AtomicUsize::new(0)),
+    )
+}
+
+fn clone_pool((q, g, s, d): &Pool) -> Pool {
+    (Arc::clone(q), Arc::clone(g), Arc::clone(s), Arc::clone(d))
+}
+
 /// The drain with both dispatchers parked: a job sits on ring 0 with no
-/// push wake-up, then the drain begins and wakes everyone. Each
-/// dispatcher runs the service loop — own ring, steal, exit on
-/// quiescence, otherwise park — and wakes its peers when it leaves. The
-/// job must run exactly once and no dispatcher may exit before it ran;
-/// a dispatcher left parked is reported as a deadlock at the join.
+/// push wake-up, then the drain begins and wakes everyone. The job must
+/// run exactly once and no dispatcher may exit before it ran; a
+/// dispatcher left parked is reported as a deadlock at the join.
 #[test]
 fn drain_wakes_parked_dispatchers_and_both_exit() {
     loom::model(|| {
-        let rings = Arc::new([BoundedQueue::new(2), BoundedQueue::new(2)]);
-        let gate = Arc::new(DrainGate::new());
-        let sleepers = Arc::new(Sleepers::new(2));
-        let done = Arc::new(AtomicUsize::new(0));
-        let dispatchers: Vec<_> = (0..2usize)
-            .map(|me| {
-                let (q, g, s, d) = (
-                    Arc::clone(&rings),
-                    Arc::clone(&gate),
-                    Arc::clone(&sleepers),
-                    Arc::clone(&done),
-                );
-                thread::spawn(move || {
-                    s.register(me);
-                    let mut rechecks = 0;
-                    while rechecks < RECHECK_ROUNDS {
-                        if let Some(v) = q[me].pop().or_else(|| q[1 - me].pop()) {
-                            assert_eq!(v, 7, "ring handed back a corrupted job");
-                            d.fetch_add(1, Ordering::SeqCst);
-                            g.complete();
-                        } else if g.quiescent() && q.iter().all(|r| r.is_empty()) {
-                            assert_eq!(
-                                d.load(Ordering::SeqCst),
-                                1,
-                                "dispatcher exited with the job still queued or in flight"
-                            );
-                            s.wake_all();
-                            return;
-                        } else if s
-                            .sleep(me, || g.quiescent() || q.iter().any(|r| !r.is_empty()))
-                            .is_none()
-                        {
-                            rechecks += 1;
-                        }
-                    }
-                })
-            })
+        let pool = pool();
+        let dispatchers: Vec<_> = (0..2)
+            .map(|me| spawn_dispatcher(me, clone_pool(&pool), 1))
             .collect();
+        let (rings, gate, sleepers, done) = pool;
         assert!(gate.try_accept(), "gate open before drain");
         rings[0].push(7u32).unwrap();
         gate.begin_drain();
@@ -478,5 +499,32 @@ fn drain_wakes_parked_dispatchers_and_both_exit() {
             h.join().unwrap();
         }
         assert!(done.load(Ordering::SeqCst) <= 1, "job executed twice");
+    });
+}
+
+/// A shed submit during a drain: the client was accepted before the
+/// drain began, its push then found the ring full, and it hands the
+/// acceptance back. Until the retraction the gate is not quiescent, so
+/// both dispatchers may already have re-checked and parked; the
+/// retraction is what makes the gate quiescent, and it must wake them
+/// (the service's `enqueue` shed path), or they stay parked for good.
+#[test]
+fn retract_during_drain_wakes_parked_dispatchers() {
+    loom::model(|| {
+        let pool = pool();
+        let (_, gate, sleepers, _) = &pool;
+        assert!(gate.try_accept(), "gate open before drain");
+        gate.begin_drain();
+        let dispatchers: Vec<_> = (0..2)
+            .map(|me| spawn_dispatcher(me, clone_pool(&pool), 0))
+            .collect();
+        gate.retract();
+        if gate.is_draining() {
+            sleepers.wake_all();
+        }
+        for h in dispatchers {
+            h.join().unwrap();
+        }
+        assert!(gate.quiescent());
     });
 }
