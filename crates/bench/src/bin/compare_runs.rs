@@ -15,11 +15,11 @@
 //! (regressions = throughput drops, p99 latency rises, or — on
 //! `*_approx_*` points carrying a `miscls` field — calibrated
 //! misclassification-probability rises). Curve ids
-//! carry an execution-tier tag (`_spice` / `_behav`); legacy untagged
-//! ids are treated as the Spice tier so old baselines keep comparing,
-//! and when both tiers of the same point are present in the new file
-//! the behavioural tier must not be slower than the Spice tier it
-//! accelerates. `--trace`
+//! carry an execution-tier tag: served points end in `_behav`, and
+//! files from when a reference tier was also served carry `_spice`
+//! points too. Legacy untagged ids are treated as that reference tier,
+//! so old baselines keep comparing: their `_behav` points match the
+//! served points and their `_spice` points report as removed. `--trace`
 //! diffs two `FERROTCAM_TRACE` NDJSON event streams (as written by
 //! `ferrotcam trace --ndjson`) on their per-analysis accepted and
 //! rejected step counts — a stepper-behaviour drift gate — and shows
@@ -30,6 +30,7 @@
 
 use ferrotcam_eval::report::FomRow;
 use serde::Deserialize;
+use std::fmt::Write as _;
 use std::process::ExitCode;
 
 fn load(path: &str) -> Result<Vec<FomRow>, String> {
@@ -73,8 +74,9 @@ struct CurveEntry {
 }
 
 /// Canonical curve id: serve-bench tags every point with its execution
-/// tier (`_spice` / `_behav`); files from before the tiered backend
-/// carry untagged ids, which were all measured on the Spice tier.
+/// tier (`_behav`, and `_spice` in files from when a reference tier was
+/// also served); files from before the tiered backend carry untagged
+/// ids, which were all measured on that reference tier.
 fn canonical_curve_id(id: &str) -> String {
     if id.ends_with("_spice") || id.ends_with("_behav") {
         id.to_string()
@@ -113,7 +115,9 @@ fn compare_bench(old_path: &str, new_path: &str, tol: f64) -> ExitCode {
         new.results.as_deref().unwrap_or(&[]),
     );
     let mut regressions = 0usize;
-    regressions += compare_curves(old_curves, new_curves, tol);
+    let mut curve_report = String::new();
+    regressions += compare_curves(old_curves, new_curves, tol, &mut curve_report);
+    print!("{curve_report}");
     if !old_results.is_empty() || !new_results.is_empty() {
         println!(
             "{:<44} {:>14} {:>14} {:>8}",
@@ -153,22 +157,24 @@ fn compare_bench(old_path: &str, new_path: &str, tol: f64) -> ExitCode {
     }
 }
 
-/// Diff two throughput-latency curves (serve-bench files). A point
-/// regresses when its throughput drops beyond `tol` percent or its p99
-/// latency rises beyond `tol` percent; faster/higher is never an error.
-fn compare_curves(old: &[CurveEntry], new: &[CurveEntry], tol: f64) -> usize {
+/// Diff two throughput-latency curves (serve-bench files), writing one
+/// line per point to `out`. A point regresses when its throughput drops
+/// beyond `tol` percent or its p99 latency rises beyond `tol` percent;
+/// faster/higher is never an error. Returns the regression count.
+fn compare_curves(old: &[CurveEntry], new: &[CurveEntry], tol: f64, out: &mut String) -> usize {
     if old.is_empty() && new.is_empty() {
         return 0;
     }
     let mut regressions = 0usize;
-    println!(
+    let _ = writeln!(
+        out,
         "{:<28} {:>12} {:>12} {:>12} {:>12} {:>8}",
         "curve point", "old qps", "new qps", "old p99 ns", "new p99 ns", "Δ"
     );
     for o in old {
         let want = canonical_curve_id(&o.id);
         let Some(n) = new.iter().find(|c| canonical_curve_id(&c.id) == want) else {
-            println!("{:<28} point removed", o.id);
+            let _ = writeln!(out, "{:<28} point removed", o.id);
             regressions += 1;
             continue;
         };
@@ -199,7 +205,8 @@ fn compare_curves(old: &[CurveEntry], new: &[CurveEntry], tol: f64) -> usize {
         } else {
             ""
         };
-        println!(
+        let _ = writeln!(
+            out,
             "{:<28} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>+7.1}%{flag}",
             o.id,
             o.achieved_qps,
@@ -212,31 +219,8 @@ fn compare_curves(old: &[CurveEntry], new: &[CurveEntry], tol: f64) -> usize {
     for n in new {
         let want = canonical_curve_id(&n.id);
         if !old.iter().any(|o| canonical_curve_id(&o.id) == want) {
-            println!("{:<28} new point ({:.0} qps)", n.id, n.achieved_qps);
+            let _ = writeln!(out, "{:<28} new point ({:.0} qps)", n.id, n.achieved_qps);
         }
-    }
-    // Intra-file tier check: wherever the new run measured the same
-    // point on both execution tiers, the bit-parallel behavioural tier
-    // must not be slower than the Spice tier it accelerates.
-    for b in new {
-        let Some(base) = b.id.strip_suffix("_behav") else {
-            continue;
-        };
-        let Some(s) = new.iter().find(|c| c.id == format!("{base}_spice")) else {
-            continue;
-        };
-        let speedup = if s.achieved_qps > 0.0 {
-            b.achieved_qps / s.achieved_qps
-        } else {
-            f64::INFINITY
-        };
-        let flag = if b.achieved_qps < s.achieved_qps {
-            regressions += 1;
-            "  <-- behav tier slower than spice"
-        } else {
-            ""
-        };
-        println!("{base:<28} behav/spice speedup {speedup:>10.1}x{flag}");
     }
     regressions
 }
@@ -449,5 +433,77 @@ fn main() -> ExitCode {
     } else {
         println!("\nall metrics within ±{tol}%");
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A curve file as serve-bench wrote it when both tiers were served.
+    const TWO_TIER: &str = r#"{"target": "serve", "curves": [
+        {"id": "closed_shards1_spice", "mode": "closed", "backend": "spice", "shards": 1,
+         "rows": 16384, "offered_qps": null, "achieved_qps": 27000.0, "p99_ns": 160000.0},
+        {"id": "closed_shards1_behav", "mode": "closed", "backend": "behav", "shards": 1,
+         "rows": 16384, "offered_qps": null, "achieved_qps": 66000.0, "p99_ns": 90000.0},
+        {"id": "open_approx_threshold_shards4_spice", "mode": "open", "backend": "spice",
+         "shards": 4, "rows": 16384, "offered_qps": 1e4, "achieved_qps": 2300.0,
+         "miscls": 0.01},
+        {"id": "open_approx_threshold_shards4_behav", "mode": "open", "backend": "behav",
+         "shards": 4, "rows": 16384, "offered_qps": 6e5, "achieved_qps": 400000.0,
+         "p99_ns": 50000.0, "miscls": 0.01}
+    ]}"#;
+
+    /// The same points from a run that serves one tier.
+    const BEHAV_ONLY: &str = r#"{"target": "serve", "curves": [
+        {"id": "closed_shards1_behav", "mode": "closed", "shards": 1, "rows": 16384,
+         "offered_qps": null, "achieved_qps": 66000.0, "p99_ns": 90000.0},
+        {"id": "open_approx_threshold_shards4_behav", "mode": "open", "shards": 4,
+         "rows": 16384, "offered_qps": 6e5, "achieved_qps": 400000.0, "p99_ns": 50000.0,
+         "miscls": 0.01}
+    ]}"#;
+
+    fn curves(json: &str) -> Vec<CurveEntry> {
+        let file: BenchFile = serde_json::from_str(json).expect("curve file parses");
+        assert_eq!(file.target, "serve");
+        file.curves.expect("curve file has curves")
+    }
+
+    /// The report line `compare_curves` wrote for curve point `id`.
+    fn line_for<'a>(out: &'a str, id: &str) -> &'a str {
+        out.lines()
+            .find(|l| l.split_whitespace().next() == Some(id))
+            .unwrap_or_else(|| panic!("{id} not reported:\n{out}"))
+    }
+
+    #[test]
+    fn two_tier_and_behav_only_files_parse() {
+        assert_eq!(curves(TWO_TIER).len(), 4);
+        assert_eq!(curves(BEHAV_ONLY).len(), 2);
+    }
+
+    #[test]
+    fn behav_points_match_across_the_tier_retirement() {
+        let (old, new) = (curves(TWO_TIER), curves(BEHAV_ONLY));
+        let mut out = String::new();
+        compare_curves(&old, &new, 10.0, &mut out);
+        for o in old.iter().filter(|o| o.id.ends_with("_behav")) {
+            let line = line_for(&out, &o.id);
+            assert!(!line.contains("removed") && !line.contains("<--"), "{line}");
+        }
+        assert!(!out.contains("new point"), "{out}");
+    }
+
+    #[test]
+    fn spice_points_report_as_removed() {
+        let (old, new) = (curves(TWO_TIER), curves(BEHAV_ONLY));
+        let mut out = String::new();
+        let regressions = compare_curves(&old, &new, 10.0, &mut out);
+        for o in old.iter().filter(|o| o.id.ends_with("_spice")) {
+            assert!(line_for(&out, &o.id).ends_with("point removed"));
+        }
+        assert_eq!(regressions, 2, "each _spice point counts:\n{out}");
+        // Legacy untagged ids were measured on the reference tier.
+        assert_eq!(canonical_curve_id("closed_shards1"), "closed_shards1_spice");
     }
 }

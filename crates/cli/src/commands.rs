@@ -62,24 +62,24 @@ USAGE:
       BENCH_newton.json to $FERROTCAM_RESULTS (default ./results).
       With --smoke the invariants are hard failures: safe waveforms
       within 1e-6 V of the baseline and a non-zero bypass-hit count.
-  ferrotcam serve-bench [--smoke] [--backend spice|behav|both]
-                        [--workload exact|approx|both]
+  ferrotcam serve-bench [--smoke] [--workload exact|approx|mixed|both]
                         [--shards 1,2,4] [--rows N] [--width N]
                         [--secs S] [--seed N] [--audit-period N]
                         [--characterize <design>]
-      Load-test the serving layer per execution tier: closed-loop
-      shard sweep, open-loop overload, energy audit, and (behavioural
-      tier) the sampled reference audit lane. --workload approx sweeps the
-      approximate-match kinds instead (threshold, top-k, range: one
-      closed point per kind plus the behavioural tier's open-loop
-      sustained-rate gate); both runs the exact sweep then the
-      approximate one. Energy attribution is calibrated from the SPICE
-      datasheets in the results directory; --characterize runs live
-      SPICE instead. Writes BENCH_serve.json (curve ids tagged
-      _spice/_behav, approximate points _approx) to $FERROTCAM_RESULTS
-      (default ./results). With --smoke the run is bounded to a few
-      seconds, the workload defaults to both, and the invariants —
-      including a clean audit lane and the approximate kinds' 100k qps
+      Load-test the serving layer: closed-loop shard sweep, open-loop
+      overload and the sampled reference audit lane, then an
+      oracle-agreement check of every query kind against the reference
+      walk with exact energies checked against core::fom. --workload
+      approx sweeps the approximate-match kinds instead (threshold,
+      top-k, range: one closed and one open-loop point per kind);
+      mixed offers a 90/10 read/write mix; both runs every sweep.
+      Energy attribution is calibrated from the SPICE datasheets in the
+      results directory; --characterize runs live SPICE instead.
+      Writes BENCH_serve.json (curve ids end in _behav, approximate
+      points carry _approx) to $FERROTCAM_RESULTS (default ./results).
+      With --smoke the run is bounded to a few seconds, the workload
+      defaults to both, and the invariants — including oracle
+      agreement, a clean audit lane and the approximate kinds' 100k qps
       open-loop floor — become hard failures.
 
 DESIGNS: 2sg | 2dg | 1.5t1sg | 1.5t1dg | cmos (aliases accepted)";

@@ -10,7 +10,7 @@
 //! ferrotcam analyze [--deny] [--json] [--root <dir>]
 //! ferrotcam trace [<design> <stored-word> <query-bits>] [--ndjson]
 //! ferrotcam bench [--smoke] [--bits N] [--reps N] [--design <d>]
-//! ferrotcam serve-bench [--smoke] [--backend spice|behav|both] [--shards 1,2,4]
+//! ferrotcam serve-bench [--smoke] [--workload exact|approx|mixed|both] [--shards 1,2,4]
 //! ```
 
 use std::process::ExitCode;

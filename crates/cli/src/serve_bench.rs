@@ -1,59 +1,64 @@
 //! `ferrotcam serve-bench` — closed-loop + open-loop load generator
-//! for the serving layer, per execution tier.
+//! for the serving layer.
 //!
-//! Builds a key-partitioned random table, starts a [`TcamService`]
-//! per (backend, configuration), and measures:
+//! Builds a key-partitioned random table, starts a [`TcamService`] per
+//! configuration, and measures:
 //!
 //! 1. **closed loop** — client threads submit-and-wait as fast as the
 //!    service answers, sweeping the shard count to show throughput
 //!    scaling;
 //! 2. **open loop** — a deterministic SplitMix64 exponential arrival
 //!    process offers load beyond capacity through the fire-and-forget
-//!    packed path, showing bounded-queue shedding and (on the
-//!    behavioural tier) the bit-parallel kernel's sustained rate;
-//! 3. **energy audit** — every response's energy attribution is
-//!    checked against the standalone `core::fom` figure for the same
-//!    query;
-//! 4. **audit lane** — behavioural runs report the sampled
-//!    Spice-replay lane: queries replayed, divergences, worst energy
-//!    error.
+//!    packed path, showing bounded-queue shedding and the bit-parallel
+//!    kernels' sustained rate;
+//! 3. **oracle agreement** — on an idle service at the largest shard
+//!    count, 64 queries of each kind (exact routed, exact fan-out,
+//!    threshold, top-k and, for even widths, range) must answer exactly
+//!    as [`reference_search`] does, field by field, and every exact
+//!    response's energy must equal the standalone `core::fom` figure;
+//! 4. **audit lane** — under load, the service replays a sample of
+//!    answers through the reference walk: queries replayed,
+//!    divergences, worst energy error.
 //!
 //! With `--workload approx` (or `both`; smoke runs default to `both`)
 //! the sweep also drives the approximate-match kinds — Hamming
-//! threshold, top-k, and FeCAM-style range — one closed-loop point per
-//! kind per tier plus a behavioural open-loop overload point per kind,
-//! written as `closed_approx_*` / `open_approx_*` curves. Threshold
-//! curves carry the sense-model's calibrated misclassification
-//! probability (`miscls`), which `compare_runs --bench` gates on.
+//! threshold, top-k, and FeCAM-style range — one closed-loop and one
+//! open-loop overload point per kind, written as `closed_approx_*` /
+//! `open_approx_*` curves. Threshold curves carry the sense-model's
+//! calibrated misclassification probability (`miscls`), which
+//! `compare_runs --bench` gates on.
 //!
 //! With `--workload mixed` (also part of `both`) the open loop offers a
 //! live read/write mix — 90% key-routed exact searches, 8% updates, 1%
-//! inserts, 1% deletes — against both tiers, exercising the
-//! copy-on-write snapshot path under churn. Writes are priced by the
-//! calibrated 3-step program; the behavioural tier's audit lane replays
-//! sampled searches against the same captured snapshot, so any torn
-//! word a write exposed would surface as a divergence. Smoke runs gate
-//! on a divergence-free lane and on the behavioural tier sustaining
-//! ≥ 100k searches/s at the reference shape under the 10% write mix.
+//! inserts, 1% deletes — exercising the copy-on-write snapshot path
+//! under churn. Writes are priced by the calibrated 3-step program; the
+//! audit lane replays sampled searches against the same captured
+//! snapshot, so any torn word a write exposed would surface as a
+//! divergence. Smoke runs gate on a divergence-free lane and on
+//! sustaining ≥ 100k searches/s at the reference shape under the 10%
+//! write mix.
 //!
 //! Energy/latency attribution is calibrated from the SPICE datasheets
 //! in the results directory (`table4.json`, `fig7_*.csv`, Fig. 4 miss
 //! curves) via [`Calibration::load`]; `--characterize` runs a live
 //! SPICE characterisation instead. Results land in `BENCH_serve.json`
 //! (results dir: `$FERROTCAM_RESULTS` or `./results`), in the
-//! throughput-curve format understood by `compare_runs --bench`, with
-//! every curve id suffixed by its backend tag (`_spice` / `_behav`).
-//! With `--smoke` the run is bounded to a few seconds and the
-//! acceptance invariants (monotone scaling, shedding under overload,
-//! energy match within 1e-9, audit lane sampled and clean) become
-//! hard failures.
+//! throughput-curve format understood by `compare_runs --bench`. With
+//! `--smoke` the run is bounded to a few seconds and the acceptance
+//! invariants (oracle agreement, energy match within 1e-9, shard-sweep
+//! scaling, shedding under overload, audit lane sampled and clean)
+//! become hard failures.
 
 use ferrotcam::fom::SearchMetrics;
-use ferrotcam::{Calibration, DesignKind, PackedQuery, RowWriteMetrics, SenseModel, TernaryWord};
+use ferrotcam::{
+    ApproxHit, Calibration, DesignKind, PackedQuery, RowWriteMetrics, SearchOutcome, SenseModel,
+    TernaryWord,
+};
 use ferrotcam_eval::parasitics::row_parasitics;
 use ferrotcam_eval::tech::tech_14nm;
 use ferrotcam_serve::{
-    BackendKind, Overloaded, RequestKind, ServiceConfig, ServiceMetrics, ShardedTcam, TcamService,
+    reference_search, Overloaded, RequestKind, SearchResponse, ServiceConfig, ServiceMetrics,
+    ShardedTcam, TcamService, DEFAULT_MAX_BATCH,
 };
 use rand::split_mix64;
 use serde::Serialize;
@@ -68,7 +73,6 @@ use crate::CliError;
 struct CurvePoint {
     id: String,
     mode: &'static str,
-    backend: String,
     shards: usize,
     rows: usize,
     offered_qps: Option<f64>,
@@ -155,7 +159,6 @@ struct Opts {
     secs: f64,
     seed: u64,
     characterize: Option<DesignKind>,
-    backends: Vec<BackendKind>,
     audit_period: u64,
     workload: Workload,
 }
@@ -172,7 +175,6 @@ fn parse_opts(
         secs: 1.5,
         seed: 42,
         characterize: None,
-        backends: vec![BackendKind::Spice, BackendKind::Behavioural],
         audit_period: 10_000,
         workload: Workload::Exact,
     };
@@ -229,14 +231,6 @@ fn parse_opts(
                     return Err("--shards needs positive counts".into());
                 }
             }
-            "--backend" => {
-                let v = next("spice|behav|both")?;
-                o.backends = match v {
-                    "both" => vec![BackendKind::Spice, BackendKind::Behavioural],
-                    other => vec![BackendKind::parse(other)
-                        .ok_or_else(|| format!("--backend: unknown tier {other:?}"))?],
-                };
-            }
             "--characterize" => o.characterize = Some(parse_design(next("a design")?)?),
             "--workload" => {
                 explicit_workload = Some(match next("exact|approx|mixed|both")? {
@@ -289,49 +283,41 @@ fn build_table(opts: &Opts, shards: usize, metrics: &SearchMetrics) -> ShardedTc
     t
 }
 
-/// Per-backend service configuration: the behavioural tier runs with
-/// a deeper queue and its preferred (larger) batch so the kernel's
-/// per-query cost, not dispatch overhead, sets the rate.
-fn service_config(backend: BackendKind, opts: &Opts) -> ServiceConfig {
-    let base = ServiceConfig {
-        backend,
+/// Ring capacity of every benched service: deep enough that the
+/// kernels, not queue turnover, set the open-loop rate.
+const QUEUE_CAPACITY: usize = 16 * 1024;
+
+/// The service configuration every point runs.
+fn service_config(opts: &Opts) -> ServiceConfig {
+    ServiceConfig {
+        queue_capacity: QUEUE_CAPACITY,
+        max_batch: DEFAULT_MAX_BATCH,
         audit_period: opts.audit_period,
         ..ServiceConfig::default()
-    };
-    match backend {
-        BackendKind::Spice => base,
-        BackendKind::Behavioural => ServiceConfig {
-            queue_capacity: 16 * 1024,
-            max_batch: 0, // backend preferred (1024)
-            ..base
-        },
     }
 }
 
-/// Where a curve point was measured: tier, table shape, and the final
-/// service metrics of that run.
-struct PointCtx<'a> {
-    backend: BackendKind,
-    shards: usize,
-    rows: usize,
-    m: &'a ServiceMetrics,
-}
+/// Suffix of every curve id. Runs from before the reference tier was
+/// retired measured each point on two tiers (`_spice` / `_behav`); the
+/// served points keep their `_behav` ids so `compare_runs --bench`
+/// matches older files point for point.
+const ID_SUFFIX: &str = "_behav";
 
 fn curve_point(
-    id: String,
+    base: &str,
     mode: &'static str,
     offered_qps: Option<f64>,
     achieved_qps: f64,
-    ctx: &PointCtx<'_>,
+    shards: usize,
+    rows: usize,
+    m: &ServiceMetrics,
 ) -> CurvePoint {
-    let m = ctx.m;
     let shed = m.shed_queue_full + m.shed_rate_limited + m.shed_shutting_down;
     CurvePoint {
-        id,
+        id: format!("{base}{ID_SUFFIX}"),
         mode,
-        backend: ctx.backend.tag().into(),
-        shards: ctx.shards,
-        rows: ctx.rows,
+        shards,
+        rows,
         offered_qps,
         achieved_qps,
         p50_ns: m.wall_latency_ns.p50,
@@ -357,12 +343,11 @@ fn curve_point(
 fn closed_loop(
     table: ShardedTcam,
     opts: &Opts,
-    backend: BackendKind,
     kind: RequestKind,
     clients: usize,
     secs: f64,
 ) -> (f64, ServiceMetrics) {
-    let svc = TcamService::start(table, &service_config(backend, opts));
+    let svc = TcamService::start(table, &service_config(opts));
     let started = Instant::now();
     let deadline = started + Duration::from_secs_f64(secs);
     let completions: u64 = std::thread::scope(|scope| {
@@ -408,19 +393,11 @@ fn closed_loop(
 fn open_loop(
     table: ShardedTcam,
     opts: &Opts,
-    backend: BackendKind,
     kind: RequestKind,
     offered_qps: f64,
     secs: f64,
 ) -> (f64, ServiceMetrics) {
-    let cfg = ServiceConfig {
-        queue_capacity: match backend {
-            BackendKind::Spice => 256,
-            BackendKind::Behavioural => 16 * 1024,
-        },
-        ..service_config(backend, opts)
-    };
-    let svc = TcamService::start(table, &cfg);
+    let svc = TcamService::start(table, &service_config(opts));
     let client = svc.client();
     let mut state = opts.seed ^ 0xDEAD_BEEF;
     let started = Instant::now();
@@ -455,85 +432,177 @@ fn open_loop(
     (metrics.completed as f64 / elapsed, metrics)
 }
 
-/// Audit energy attribution against the standalone `core::fom` figure.
-/// Returns the worst relative deviation observed.
-fn energy_audit(
-    table: ShardedTcam,
-    opts: &Opts,
-    backend: BackendKind,
-    metrics: &SearchMetrics,
-) -> f64 {
-    let svc = TcamService::start(table, &service_config(backend, opts));
-    let client = svc.client();
-    let mut state = opts.seed ^ 0xA0D1;
-    let mut worst = 0.0f64;
-    for _ in 0..64 {
-        let q = random_packed(&mut state, opts.width);
-        let shard = Some(client.route_packed(&q));
-        let resp = client
-            .submit_kind(0, q, RequestKind::Exact, shard)
-            .expect("idle service")
-            .wait()
-            .expect("no deadline configured");
-        let total = resp.matches.len() + resp.step1_misses + resp.step2_misses;
-        if total == 0 {
-            continue;
-        }
-        let miss_rate = resp.step1_misses as f64 / total as f64;
-        let standalone = total as f64 * metrics.energy_avg(miss_rate);
-        let served = resp.energy_j.expect("metrics attached");
-        let rel = (served - standalone).abs() / standalone.abs().max(1e-30);
-        worst = worst.max(rel);
-    }
-    drop(svc);
-    worst
+/// The first field in which a served response differs from the
+/// reference walk's answer, as a gate line naming the query lane, the
+/// query's index in it and the field; `None` when they agree.
+fn oracle_disagreement(
+    lane: &str,
+    index: usize,
+    served: &SearchResponse,
+    reference: &SearchOutcome,
+    reference_hits: &[ApproxHit],
+) -> Option<String> {
+    let (field, got, want) = if served.matches != reference.matches {
+        (
+            "matches",
+            format!("{:?}", served.matches),
+            format!("{:?}", reference.matches),
+        )
+    } else if served.hits != reference_hits {
+        (
+            "hits",
+            format!("{:?}", served.hits),
+            format!("{reference_hits:?}"),
+        )
+    } else if served.step1_misses != reference.step1_misses {
+        (
+            "step1_misses",
+            served.step1_misses.to_string(),
+            reference.step1_misses.to_string(),
+        )
+    } else if served.step2_misses != reference.step2_misses {
+        (
+            "step2_misses",
+            served.step2_misses.to_string(),
+            reference.step2_misses.to_string(),
+        )
+    } else {
+        return None;
+    };
+    Some(format!(
+        "oracle agreement: {lane} query {index}: {field} differ (served {got}, reference_search {want})"
+    ))
 }
 
-/// Everything one backend's sweep produced, for the invariant checks.
-struct BackendRun {
-    backend: BackendKind,
+/// One query lane of the oracle-agreement phase: its name, its kind,
+/// and whether its query `i` is routed to its shard (else fanned out).
+type OracleLane = (&'static str, RequestKind, fn(usize) -> bool);
+
+/// Queries per lane of the oracle-agreement phase.
+const ORACLE_QUERIES: usize = 64;
+
+/// What the oracle-agreement phase found.
+struct OracleAudit {
+    /// Queries compared with the reference walk.
+    checked: usize,
+    /// The first disagreement of each lane that had one.
+    disagreements: Vec<String>,
+    /// Worst relative deviation of an exact response's energy from the
+    /// standalone `core::fom` figure.
+    energy_worst_rel: f64,
+}
+
+/// Oracle agreement and energy truth on an idle service at the largest
+/// shard count: [`ORACLE_QUERIES`] queries per lane — exact routed,
+/// exact fan-out, threshold t=2, top-k k=8 and, for even widths, range
+/// (the approximate lanes alternate fan-out and routed) — each checked
+/// field by field against [`reference_search`] over the served table,
+/// and every exact response's energy against `core::fom`.
+fn oracle_audit(opts: &Opts, metrics: &SearchMetrics) -> OracleAudit {
+    let &shards = opts.shards.iter().max().expect("non-empty");
+    let svc = TcamService::start(build_table(opts, shards, metrics), &service_config(opts));
+    let client = svc.client();
+    // Nothing writes to the table, so one view is what every query
+    // below is answered from.
+    let view = client.table();
+    let alternate: fn(usize) -> bool = |i| i % 2 == 1;
+    let mut lanes: Vec<OracleLane> = vec![
+        ("exact-routed", RequestKind::Exact, |_| true),
+        ("exact-fanout", RequestKind::Exact, |_| false),
+        ("threshold", RequestKind::Threshold { t: 2 }, alternate),
+        ("topk", RequestKind::TopK { k: 8 }, alternate),
+    ];
+    if opts.width.is_multiple_of(2) {
+        lanes.push(("range", RequestKind::Range, alternate));
+    }
+    let mut state = opts.seed ^ 0xA0D1;
+    let mut audit = OracleAudit {
+        checked: 0,
+        disagreements: Vec::new(),
+        energy_worst_rel: 0.0,
+    };
+    for (lane, kind, routed) in lanes {
+        let mut first = None;
+        let mut disagreeing = 0usize;
+        for i in 0..ORACLE_QUERIES {
+            let q = random_packed(&mut state, opts.width);
+            let shard = routed(i).then(|| client.route_packed(&q));
+            let resp = client
+                .submit_kind(0, q.clone(), kind, shard)
+                .expect("idle service")
+                .wait()
+                .expect("no deadline configured");
+            let (want, want_hits) = reference_search(&view, kind, &q, shard);
+            audit.checked += 1;
+            if let Some(line) = oracle_disagreement(lane, i, &resp, &want, &want_hits) {
+                disagreeing += 1;
+                first.get_or_insert(line);
+            }
+            let total = resp.matches.len() + resp.step1_misses + resp.step2_misses;
+            if kind == RequestKind::Exact && total > 0 {
+                let miss_rate = resp.step1_misses as f64 / total as f64;
+                let standalone = total as f64 * metrics.energy_avg(miss_rate);
+                let served = resp.energy_j.expect("metrics attached");
+                let rel = (served - standalone).abs() / standalone.abs().max(1e-30);
+                audit.energy_worst_rel = audit.energy_worst_rel.max(rel);
+            }
+        }
+        if let Some(line) = first {
+            audit.disagreements.push(format!(
+                "{line} ({disagreeing} of {ORACLE_QUERIES} {lane} queries disagree)"
+            ));
+        }
+    }
+    drop(svc);
+    audit
+}
+
+/// Check the oracle-agreement phase, appending failures to `report`.
+fn check_oracle(audit: &OracleAudit, report: &mut String) {
+    for line in &audit.disagreements {
+        let _ = writeln!(report, "{line}");
+    }
+    if audit.energy_worst_rel >= 1e-9 {
+        let _ = writeln!(
+            report,
+            "energy attribution deviates from core::fom by {:.3e} (bound < 1e-9)",
+            audit.energy_worst_rel
+        );
+    }
+}
+
+/// Everything the exact-match sweep produced, for the invariant checks.
+struct ExactSweep {
     capacities: Vec<f64>,
     open_achieved: f64,
     open_offered: f64,
     open_metrics: ServiceMetrics,
-    open_queue_bound: usize,
-    energy_worst_rel: f64,
 }
 
-fn run_backend(
-    opts: &Opts,
-    backend: BackendKind,
-    metrics: &SearchMetrics,
-    curves: &mut Vec<CurvePoint>,
-) -> BackendRun {
-    let tag = backend.tag();
-
+fn run_exact(opts: &Opts, metrics: &SearchMetrics, curves: &mut Vec<CurvePoint>) -> ExactSweep {
     // --- Phase 1: closed-loop shard sweep --------------------------------
     let mut capacities = Vec::new();
     for &shards in &opts.shards {
         let table = build_table(opts, shards, metrics);
-        let (qps, m) = closed_loop(table, opts, backend, RequestKind::Exact, 2, opts.secs);
+        let (qps, m) = closed_loop(table, opts, RequestKind::Exact, 2, opts.secs);
         println!(
-            "  [{tag}] closed  shards={shards:<2} {qps:>10.0} qps   p50 {:>8.1} us   p99 {:>8.1} us",
+            "  closed  shards={shards:<2} {qps:>10.0} qps   p50 {:>8.1} us   p99 {:>8.1} us",
             us(m.wall_latency_ns.p50),
             us(m.wall_latency_ns.p99)
         );
         println!(
-            "  [{tag}]         dispatchers (batches/steals/parks/wakeups): {}",
+            "          dispatchers (batches/steals/parks/wakeups): {}",
             dispatch_counters(&m)
         );
         capacities.push(qps);
         curves.push(curve_point(
-            format!("closed_shards{shards}_{tag}"),
+            &format!("closed_shards{shards}"),
             "closed",
             None,
             qps,
-            &PointCtx {
-                backend,
-                shards,
-                rows: opts.rows,
-                m: &m,
-            },
+            shards,
+            opts.rows,
+            &m,
         ));
     }
 
@@ -544,201 +613,146 @@ fn run_backend(
         .copied()
         .fold(f64::NEG_INFINITY, f64::max)
         .max(1.0);
-    // The behavioural tier's closed-loop rate is round-trip-bound, not
-    // kernel-bound; offer past the 1 Mqps target so the open loop
-    // measures the dispatcher, not the arrival process. Don't offer
-    // much past capacity though — on a shared core every shed
-    // submission steals cycles from the dispatcher being measured.
-    let offered = match backend {
-        BackendKind::Spice => capacity * 3.0,
-        BackendKind::Behavioural => (capacity * 3.0).max(1.8e6),
-    };
+    // The closed-loop rate is round-trip-bound, not kernel-bound; offer
+    // past the 1 Mqps target so the open loop measures the dispatcher,
+    // not the arrival process. Don't offer much past capacity though —
+    // on a shared core every shed submission steals cycles from the
+    // dispatcher being measured.
+    let offered = (capacity * 3.0).max(1.8e6);
     let table = build_table(opts, max_shards, metrics);
-    let queue_bound = match backend {
-        BackendKind::Spice => 256,
-        BackendKind::Behavioural => 16 * 1024,
-    };
-    let (achieved, m_over) = open_loop(
-        table,
-        opts,
-        backend,
-        RequestKind::Exact,
-        offered,
-        opts.secs.max(0.5),
-    );
+    let (achieved, m_over) =
+        open_loop(table, opts, RequestKind::Exact, offered, opts.secs.max(0.5));
     let shed_total = m_over.shed_queue_full + m_over.shed_rate_limited + m_over.shed_shutting_down;
     println!(
-        "  [{tag}] open    shards={max_shards:<2} offered {offered:>9.0} qps -> {achieved:>9.0} qps, shed {shed_total}, max queue depth {}",
+        "  open    shards={max_shards:<2} offered {offered:>9.0} qps -> {achieved:>9.0} qps, shed {shed_total}, max queue depth {}",
         m_over.max_queue_depth
     );
     println!(
-        "  [{tag}]         dispatchers (batches/steals/parks/wakeups): {}",
+        "          dispatchers (batches/steals/parks/wakeups): {}",
         dispatch_counters(&m_over)
     );
     curves.push(curve_point(
-        format!("open_overload_shards{max_shards}_{tag}"),
+        &format!("open_overload_shards{max_shards}"),
         "open",
         Some(offered),
         achieved,
-        &PointCtx {
-            backend,
-            shards: max_shards,
-            rows: opts.rows,
-            m: &m_over,
-        },
+        max_shards,
+        opts.rows,
+        &m_over,
     ));
+    println!(
+        "  audit   {} sampled, {} match / {} energy divergences, worst rel {:.3e}",
+        m_over.audit_sampled,
+        m_over.audit_match_divergences,
+        m_over.audit_energy_divergences,
+        m_over.audit_worst_energy_rel
+    );
 
-    // --- Phase 3: energy audit --------------------------------------------
-    let table = build_table(opts, max_shards, metrics);
-    let energy_worst_rel = energy_audit(table, opts, backend, metrics);
-    println!("  [{tag}] energy  worst |served - fom| / fom = {energy_worst_rel:.3e}");
-
-    if backend == BackendKind::Behavioural {
-        println!(
-            "  [{tag}] audit   {} sampled, {} match / {} energy divergences, worst rel {:.3e}",
-            m_over.audit_sampled,
-            m_over.audit_match_divergences,
-            m_over.audit_energy_divergences,
-            m_over.audit_worst_energy_rel
-        );
-    }
-
-    BackendRun {
-        backend,
+    ExactSweep {
         capacities,
         open_achieved: achieved,
         open_offered: offered,
         open_metrics: m_over,
-        open_queue_bound: queue_bound,
-        energy_worst_rel,
     }
 }
 
 /// The approximate-match request mix the bench sweeps: one threshold,
-/// one top-k, one range point per tier.
+/// one top-k, one range point.
 const APPROX_KINDS: [(&str, RequestKind); 3] = [
     ("threshold", RequestKind::Threshold { t: 2 }),
     ("topk", RequestKind::TopK { k: 8 }),
     ("range", RequestKind::Range),
 ];
 
-/// Everything one backend's approximate sweep produced.
-struct ApproxRun {
-    backend: BackendKind,
-    /// `(kind tag, closed qps, open qps if measured, final open/closed
-    /// metrics)` per approximate kind.
-    per_kind: Vec<(&'static str, f64, Option<f64>, ServiceMetrics)>,
+/// Everything the approximate sweep produced: `(kind tag, closed qps,
+/// open qps, final open-loop metrics)` per approximate kind.
+struct ApproxSweep {
+    per_kind: Vec<(&'static str, f64, f64, ServiceMetrics)>,
 }
 
-/// Sweep the approximate kinds on one tier: a closed-loop point per
-/// kind at the largest shard count, plus (behavioural tier only) an
-/// open-loop overload point — the sustained-rate acceptance gate.
-fn run_approx_backend(
-    opts: &Opts,
-    backend: BackendKind,
-    metrics: &SearchMetrics,
-    curves: &mut Vec<CurvePoint>,
-) -> ApproxRun {
-    let tag = backend.tag();
+/// Sweep the approximate kinds: a closed-loop point per kind at the
+/// largest shard count, plus an open-loop overload point — the
+/// sustained-rate acceptance gate.
+fn run_approx(opts: &Opts, metrics: &SearchMetrics, curves: &mut Vec<CurvePoint>) -> ApproxSweep {
     let &shards = opts.shards.iter().max().expect("non-empty");
     let sense = SenseModel::analytic(metrics.latency_1step);
     let mut per_kind = Vec::new();
     for (ktag, kind) in APPROX_KINDS {
+        let miscls = match kind {
+            RequestKind::Threshold { t } => Some(sense.misclassification(t).p_error()),
+            _ => None,
+        };
         let table = build_table(opts, shards, metrics);
-        let (closed_qps, m_closed) = closed_loop(table, opts, backend, kind, 2, opts.secs);
+        let (closed_qps, m_closed) = closed_loop(table, opts, kind, 2, opts.secs);
         println!(
-            "  [{tag}] approx  {ktag:<9} closed {closed_qps:>9.0} qps   p99 {:>8.1} us",
+            "  approx  {ktag:<9} closed {closed_qps:>9.0} qps   p99 {:>8.1} us",
             us(m_closed.wall_latency_ns.p99)
         );
         let mut point = curve_point(
-            format!("closed_approx_{ktag}_shards{shards}_{tag}"),
+            &format!("closed_approx_{ktag}_shards{shards}"),
             "closed",
             None,
             closed_qps,
-            &PointCtx {
-                backend,
-                shards,
-                rows: opts.rows,
-                m: &m_closed,
-            },
+            shards,
+            opts.rows,
+            &m_closed,
         );
-        if let RequestKind::Threshold { t } = kind {
-            point.miscls = Some(sense.misclassification(t).p_error());
-        }
+        point.miscls = miscls;
         curves.push(point);
 
-        // Open-loop overload only on the throughput tier: the naive
-        // reference tier is row-serial and would just measure shedding.
-        let (open_qps, m_final) = if backend == BackendKind::Behavioural {
-            let offered = (closed_qps * 3.0).max(6e5);
-            let table = build_table(opts, shards, metrics);
-            let (achieved, m_open) =
-                open_loop(table, opts, backend, kind, offered, opts.secs.max(0.5));
-            println!(
-                "  [{tag}] approx  {ktag:<9} open   offered {offered:>9.0} qps -> {achieved:>9.0} qps, audit {} sampled / {} divergent",
-                m_open.audit_sampled,
-                m_open.audit_match_divergences + m_open.audit_energy_divergences
-            );
-            let mut point = curve_point(
-                format!("open_approx_{ktag}_shards{shards}_{tag}"),
-                "open",
-                Some(offered),
-                achieved,
-                &PointCtx {
-                    backend,
-                    shards,
-                    rows: opts.rows,
-                    m: &m_open,
-                },
-            );
-            if let RequestKind::Threshold { t } = kind {
-                point.miscls = Some(sense.misclassification(t).p_error());
-            }
-            curves.push(point);
-            (Some(achieved), m_open)
-        } else {
-            (None, m_closed)
-        };
-        per_kind.push((ktag, closed_qps, open_qps, m_final));
+        let offered = (closed_qps * 3.0).max(6e5);
+        let table = build_table(opts, shards, metrics);
+        let (open_qps, m_open) = open_loop(table, opts, kind, offered, opts.secs.max(0.5));
+        println!(
+            "  approx  {ktag:<9} open   offered {offered:>9.0} qps -> {open_qps:>9.0} qps, audit {} sampled / {} divergent",
+            m_open.audit_sampled,
+            m_open.audit_match_divergences + m_open.audit_energy_divergences
+        );
+        let mut point = curve_point(
+            &format!("open_approx_{ktag}_shards{shards}"),
+            "open",
+            Some(offered),
+            open_qps,
+            shards,
+            opts.rows,
+            &m_open,
+        );
+        point.miscls = miscls;
+        curves.push(point);
+        per_kind.push((ktag, closed_qps, open_qps, m_open));
     }
-    ApproxRun { backend, per_kind }
+    ApproxSweep { per_kind }
 }
 
-/// Check one backend's approximate-sweep invariants.
-fn check_approx_backend(opts: &Opts, run: &ApproxRun, report: &mut String) {
-    let tag = run.backend.tag();
+/// Check the approximate-sweep invariants.
+fn check_approx(opts: &Opts, run: &ApproxSweep, report: &mut String) {
     for (ktag, closed_qps, open_qps, m) in &run.per_kind {
         if m.completed == 0 || *closed_qps <= 0.0 {
-            let _ = writeln!(report, "[{tag}] approx {ktag}: no queries completed");
+            let _ = writeln!(report, "approx {ktag}: no queries completed");
         }
-        if run.backend == BackendKind::Behavioural {
-            if m.audit_sampled == 0 && opts.audit_period > 0 {
-                let _ = writeln!(report, "[{tag}] approx {ktag}: audit lane sampled nothing");
-            }
-            if m.audit_match_divergences > 0 || m.audit_energy_divergences > 0 {
-                let _ = writeln!(
-                    report,
-                    "[{tag}] approx {ktag}: audit divergence ({} match, {} energy)",
-                    m.audit_match_divergences, m.audit_energy_divergences
-                );
-            }
-            // The sustained-rate acceptance gate at the reference shape.
-            if let Some(open) = open_qps {
-                if opts.rows >= 16384 && *open < 1e5 {
-                    let _ = writeln!(
-                        report,
-                        "[{tag}] approx {ktag}: open loop sustained only {open:.0} qps (< 100k at {} rows)",
-                        opts.rows
-                    );
-                }
-            }
+        if m.audit_sampled == 0 && opts.audit_period > 0 {
+            let _ = writeln!(report, "approx {ktag}: audit lane sampled nothing");
+        }
+        if m.audit_match_divergences > 0 || m.audit_energy_divergences > 0 {
+            let _ = writeln!(
+                report,
+                "approx {ktag}: audit divergence ({} match, {} energy)",
+                m.audit_match_divergences, m.audit_energy_divergences
+            );
+        }
+        // The sustained-rate acceptance gate at the reference shape.
+        if opts.rows >= 16384 && *open_qps < 1e5 {
+            let _ = writeln!(
+                report,
+                "approx {ktag}: open loop sustained only {open_qps:.0} qps (< 100k at {} rows)",
+                opts.rows
+            );
         }
     }
 }
 
-/// Everything one backend's mixed read/write sweep produced.
-struct MixedRun {
-    backend: BackendKind,
+/// What the mixed read/write point produced.
+struct MixedPoint {
     search_qps: f64,
     write_qps: f64,
     m: ServiceMetrics,
@@ -751,32 +765,18 @@ struct MixedRun {
 /// (approximate) table size — a stale index past the end is an
 /// `OutOfRange` no-op ack, exactly what a racing real client produces —
 /// and are priced by the calibrated 3-step program.
-fn run_mixed_backend(
+fn run_mixed(
     opts: &Opts,
-    backend: BackendKind,
     metrics: &SearchMetrics,
     write_metrics: RowWriteMetrics,
     curves: &mut Vec<CurvePoint>,
-) -> MixedRun {
-    let tag = backend.tag();
+) -> MixedPoint {
     let &shards = opts.shards.iter().max().expect("non-empty");
     let mut table = build_table(opts, shards, metrics);
     table.attach_write_metrics(write_metrics);
-    // Offer enough that the behavioural tier proves its search floor
-    // under churn; the row-serial reference tier gets a load it sheds
-    // most of (its point documents bounded shedding, not rate).
-    let offered = match backend {
-        BackendKind::Spice => 30_000.0,
-        BackendKind::Behavioural => 1.2e6,
-    };
-    let cfg = ServiceConfig {
-        queue_capacity: match backend {
-            BackendKind::Spice => 256,
-            BackendKind::Behavioural => 16 * 1024,
-        },
-        ..service_config(backend, opts)
-    };
-    let svc = TcamService::start(table, &cfg);
+    // Offer enough that the service proves its search floor under churn.
+    let offered = 1.2e6;
+    let svc = TcamService::start(table, &service_config(opts));
     let client = svc.client();
     let mut state = opts.seed ^ 0x3317_ED00;
     let mut approx_rows = opts.rows;
@@ -833,149 +833,109 @@ fn run_mixed_backend(
         m.completed_by_kind.insert + m.completed_by_kind.delete + m.completed_by_kind.update;
     let write_qps = writes as f64 / elapsed;
     println!(
-        "  [{tag}] mixed   shards={shards:<2} offered {offered:>9.0} qps -> {search_qps:>9.0} searches/s + {write_qps:>7.0} writes/s, audit {} sampled / {} divergent",
+        "  mixed   shards={shards:<2} offered {offered:>9.0} qps -> {search_qps:>9.0} searches/s + {write_qps:>7.0} writes/s, audit {} sampled / {} divergent",
         m.audit_sampled,
         m.audit_match_divergences + m.audit_energy_divergences
     );
     let mut point = curve_point(
-        format!("mixed_open_shards{shards}_{tag}"),
+        &format!("mixed_open_shards{shards}"),
         "open",
         Some(offered),
         search_qps,
-        &PointCtx {
-            backend,
-            shards,
-            rows: opts.rows,
-            m: &m,
-        },
+        shards,
+        opts.rows,
+        &m,
     );
     point.write_qps = Some(write_qps);
     curves.push(point);
-    MixedRun {
-        backend,
+    MixedPoint {
         search_qps,
         write_qps,
         m,
     }
 }
 
-/// Check one backend's mixed-sweep invariants: writes landed, the
-/// audit lane — which replays sampled searches against the very
-/// snapshot the kernel answered from — saw zero divergences (the
-/// torn-word gate), and the behavioural tier held the reference-shape
-/// search floor under the 10% write mix.
-fn check_mixed_backend(opts: &Opts, run: &MixedRun, report: &mut String) {
-    let tag = run.backend.tag();
+/// Check the mixed-point invariants: writes landed, the audit lane —
+/// which replays sampled searches against the very snapshot the
+/// kernels answered from — saw zero divergences (the torn-word gate),
+/// and the service held the reference-shape search floor under the 10%
+/// write mix.
+fn check_mixed(opts: &Opts, run: &MixedPoint, report: &mut String) {
     let m = &run.m;
     if m.completed_by_kind.exact == 0 {
-        let _ = writeln!(report, "[{tag}] mixed: no searches completed");
+        let _ = writeln!(report, "mixed: no searches completed");
     }
     if run.write_qps <= 0.0 {
-        let _ = writeln!(report, "[{tag}] mixed: no writes completed");
+        let _ = writeln!(report, "mixed: no writes completed");
     }
-    if run.backend == BackendKind::Behavioural {
-        if m.audit_sampled == 0 && opts.audit_period > 0 {
-            let _ = writeln!(
-                report,
-                "[{tag}] mixed: audit lane sampled nothing under writes"
-            );
-        }
-        if m.audit_match_divergences > 0 || m.audit_energy_divergences > 0 {
-            let _ = writeln!(
-                report,
-                "[{tag}] mixed: torn-word gate tripped — {} match / {} energy audit divergences under live writes",
-                m.audit_match_divergences, m.audit_energy_divergences
-            );
-        }
-        if opts.rows >= 16384 && run.search_qps < 1e5 {
-            let _ = writeln!(
-                report,
-                "[{tag}] mixed: searches sustained only {:.0}/s (< 100k at {} rows under 10% writes)",
-                run.search_qps, opts.rows
-            );
-        }
+    if m.audit_sampled == 0 && opts.audit_period > 0 {
+        let _ = writeln!(report, "mixed: audit lane sampled nothing under writes");
+    }
+    if m.audit_match_divergences > 0 || m.audit_energy_divergences > 0 {
+        let _ = writeln!(
+            report,
+            "mixed: torn-word gate tripped — {} match / {} energy audit divergences under live writes",
+            m.audit_match_divergences, m.audit_energy_divergences
+        );
+    }
+    if opts.rows >= 16384 && run.search_qps < 1e5 {
+        let _ = writeln!(
+            report,
+            "mixed: searches sustained only {:.0}/s (< 100k at {} rows under 10% writes)",
+            run.search_qps, opts.rows
+        );
     }
 }
 
-/// Check one backend's invariants, appending failures to `report`.
-fn check_backend(run: &BackendRun, report: &mut String) {
-    let tag = run.backend.tag();
+/// Check the exact sweep's invariants, appending failures to `report`.
+fn check_exact(run: &ExactSweep, report: &mut String) {
     let caps = &run.capacities;
-    // The behavioural closed loop is round-trip bound, so its curve is
-    // flat and noisy; allow more jitter before calling it a regression.
-    let tolerance = match run.backend {
-        BackendKind::Spice => 0.9,
-        BackendKind::Behavioural => 0.7,
-    };
+    // The closed loop is round-trip bound (the kernels answer in well
+    // under the channel cost), so its curve is flat and noisy: extra
+    // shards only have to hold it steady, within this jitter.
+    let tolerance = 0.7;
     for w in caps.windows(2) {
         if w[1] < w[0] * tolerance {
             let _ = writeln!(
                 report,
-                "[{tag}] throughput regressed across shard sweep: {caps:.0?} qps \
+                "throughput regressed across shard sweep: {caps:.0?} qps \
                  (bound: each point >= {tolerance} x the one before)"
             );
             break;
         }
     }
-    // The Spice tier is kernel-bound, so extra shards must buy real
-    // throughput. The behavioural tier's closed loop is round-trip
-    // bound (the kernel answers in well under the channel cost), so it
-    // only has to hold steady.
-    if run.backend == BackendKind::Spice && caps.len() > 1 && caps[caps.len() - 1] <= caps[0] {
-        let _ = writeln!(
-            report,
-            "[{tag}] no scaling across shard sweep: {caps:.0?} qps (bound: last > first)"
-        );
-    }
-    let shed = run.open_metrics.shed_queue_full
-        + run.open_metrics.shed_rate_limited
-        + run.open_metrics.shed_shutting_down;
+    let m = &run.open_metrics;
+    let shed = m.shed_queue_full + m.shed_rate_limited + m.shed_shutting_down;
     if shed == 0 {
         let _ = writeln!(
             report,
-            "[{tag}] overload at {:.0} qps shed nothing (bound: shed > 0; achieved {:.0} qps, max queue depth {} of {})",
-            run.open_offered,
-            run.open_achieved,
-            run.open_metrics.max_queue_depth,
-            run.open_queue_bound
+            "overload at {:.0} qps shed nothing (bound: shed > 0; achieved {:.0} qps, max queue depth {} of {QUEUE_CAPACITY})",
+            run.open_offered, run.open_achieved, m.max_queue_depth
         );
     }
-    if run.open_metrics.max_queue_depth > run.open_queue_bound {
+    if m.max_queue_depth > QUEUE_CAPACITY {
         let _ = writeln!(
             report,
-            "[{tag}] queue grew past its bound: {} > {}",
-            run.open_metrics.max_queue_depth, run.open_queue_bound
+            "queue grew past its bound: {} > {QUEUE_CAPACITY}",
+            m.max_queue_depth
         );
     }
-    if run.energy_worst_rel >= 1e-9 {
+    if m.audit_sampled == 0 {
+        let _ = writeln!(report, "audit lane sampled nothing under load (bound > 0)");
+    }
+    if m.audit_match_divergences > 0 || m.audit_energy_divergences > 0 {
         let _ = writeln!(
             report,
-            "[{tag}] energy attribution deviates from core::fom by {:.3e} (bound < 1e-9)",
-            run.energy_worst_rel
+            "audit lane divergence: {} match, {} energy (worst rel {:.3e})",
+            m.audit_match_divergences, m.audit_energy_divergences, m.audit_worst_energy_rel
         );
     }
-    if run.backend == BackendKind::Behavioural {
-        let m = &run.open_metrics;
-        if m.audit_sampled == 0 {
-            let _ = writeln!(
-                report,
-                "[{tag}] audit lane sampled nothing under load (bound > 0)"
-            );
-        }
-        if m.audit_match_divergences > 0 || m.audit_energy_divergences > 0 {
-            let _ = writeln!(
-                report,
-                "[{tag}] audit lane divergence: {} match, {} energy (worst rel {:.3e})",
-                m.audit_match_divergences, m.audit_energy_divergences, m.audit_worst_energy_rel
-            );
-        }
-        if m.audit_worst_energy_rel > 1e-9 {
-            let _ = writeln!(
-                report,
-                "[{tag}] audit energy error {:.3e} beyond pinned 1e-9",
-                m.audit_worst_energy_rel
-            );
-        }
+    if m.audit_worst_energy_rel > 1e-9 {
+        let _ = writeln!(
+            report,
+            "audit energy error {:.3e} beyond pinned 1e-9",
+            m.audit_worst_energy_rel
+        );
     }
 }
 
@@ -1022,41 +982,35 @@ pub fn run(
         }
     };
     println!(
-        "serve-bench: {} rows x {} digits, shards {:?}, backends {:?}, workload {:?}, {:.1}s per point{}",
+        "serve-bench: {} rows x {} digits, shards {:?}, workload {:?}, {:.1}s per point{}",
         opts.rows,
         opts.width,
         opts.shards,
-        opts.backends.iter().map(|b| b.tag()).collect::<Vec<_>>(),
         opts.workload,
         opts.secs,
         if opts.smoke { " (smoke)" } else { "" }
     );
 
     let mut curves = Vec::new();
-    let runs: Vec<BackendRun> = if opts.workload.includes_exact() {
-        opts.backends
-            .iter()
-            .map(|&b| run_backend(&opts, b, &metrics, &mut curves))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let approx_runs: Vec<ApproxRun> = if opts.workload.includes_approx() {
-        opts.backends
-            .iter()
-            .map(|&b| run_approx_backend(&opts, b, &metrics, &mut curves))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let mixed_runs: Vec<MixedRun> = if opts.workload.includes_mixed() {
-        opts.backends
-            .iter()
-            .map(|&b| run_mixed_backend(&opts, b, &metrics, write_metrics, &mut curves))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let exact = opts
+        .workload
+        .includes_exact()
+        .then(|| run_exact(&opts, &metrics, &mut curves));
+    let approx = opts
+        .workload
+        .includes_approx()
+        .then(|| run_approx(&opts, &metrics, &mut curves));
+    let mixed = opts
+        .workload
+        .includes_mixed()
+        .then(|| run_mixed(&opts, &metrics, write_metrics, &mut curves));
+    let oracle = oracle_audit(&opts, &metrics);
+    println!(
+        "  oracle  {} queries vs reference_search, {} lane(s) disagree; worst |served - fom| / fom = {:.3e}",
+        oracle.checked,
+        oracle.disagreements.len(),
+        oracle.energy_worst_rel
+    );
 
     // --- Artefact ----------------------------------------------------------
     let file = ServeBenchFile {
@@ -1072,38 +1026,79 @@ pub fn run(
 
     // --- Acceptance invariants --------------------------------------------
     let mut report = String::new();
-    for run in &runs {
-        check_backend(run, &mut report);
+    check_oracle(&oracle, &mut report);
+    if let Some(run) = &exact {
+        check_exact(run, &mut report);
     }
-    for run in &approx_runs {
-        check_approx_backend(&opts, run, &mut report);
+    if let Some(run) = &approx {
+        check_approx(&opts, run, &mut report);
     }
-    for run in &mixed_runs {
-        check_mixed_backend(&opts, run, &mut report);
-    }
-    // The whole point of the tiered backend: under open-loop load the
-    // bit-parallel tier must decisively outrun the reference tier.
-    let spice_open = runs
-        .iter()
-        .find(|r| r.backend == BackendKind::Spice)
-        .map(|r| r.open_achieved);
-    let behav_open = runs
-        .iter()
-        .find(|r| r.backend == BackendKind::Behavioural)
-        .map(|r| r.open_achieved);
-    if let (Some(s), Some(b)) = (spice_open, behav_open) {
-        println!("  behav/spice open-loop speedup: {:.1}x", b / s.max(1.0));
-        if b < s * 2.0 {
-            let _ = writeln!(
-                report,
-                "behavioural open loop ({b:.0} qps) is not ahead of spice ({s:.0} qps; bound >= 2x)"
-            );
-        }
+    if let Some(run) = &mixed {
+        check_mixed(&opts, run, &mut report);
     }
     gate_verdict(
         "serve-bench",
         &report,
         opts.smoke,
-        "serve-bench invariants hold: monotone scaling, bounded shedding, energy-true accounting, audit lane clean",
+        "serve-bench invariants hold: oracle agreement, energy-true accounting, scaling, bounded shedding, audit lane clean",
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn response(matches: Vec<usize>, hits: Vec<ApproxHit>, s1: usize, s2: usize) -> SearchResponse {
+        SearchResponse {
+            kind: RequestKind::TopK { k: 2 },
+            matches,
+            hits,
+            step1_misses: s1,
+            step2_misses: s2,
+            rows_searched: 10,
+            energy_j: None,
+            model_latency_s: 0.0,
+            wall_latency_ns: 0,
+        }
+    }
+
+    #[test]
+    fn oracle_disagreement_names_lane_index_and_field() {
+        let hits = vec![
+            ApproxHit {
+                row: 1,
+                distance: 0,
+            },
+            ApproxHit {
+                row: 4,
+                distance: 1,
+            },
+        ];
+        let want = SearchOutcome {
+            matches: vec![1, 4],
+            step1_misses: 8,
+            step2_misses: 0,
+        };
+        let agree = response(vec![1, 4], hits.clone(), 8, 0);
+        assert_eq!(oracle_disagreement("topk", 3, &agree, &want, &hits), None);
+
+        // One doctored field at a time; each is named with its lane and
+        // query index.
+        let mut far = hits.clone();
+        far[1].distance = 2;
+        let doctored = [
+            (response(vec![1, 5], hits.clone(), 8, 0), "matches"),
+            (response(vec![1, 4], far, 8, 0), "hits"),
+            (response(vec![1, 4], hits.clone(), 7, 0), "step1_misses"),
+            (response(vec![1, 4], hits.clone(), 8, 1), "step2_misses"),
+        ];
+        for (resp, field) in doctored {
+            let line = oracle_disagreement("topk", 17, &resp, &want, &hits)
+                .unwrap_or_else(|| panic!("{field} doctoring must be reported"));
+            assert!(
+                line.contains("topk query 17: ") && line.contains(&format!("{field} differ")),
+                "{line}"
+            );
+        }
+    }
 }

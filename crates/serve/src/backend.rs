@@ -1,38 +1,33 @@
-//! Tiered execution backends: the same batch plan, two engines.
+//! Batch execution: the served kernels and the reference oracle.
 //!
-//! Every query batch runs through one of two tiers:
+//! Every query batch runs on one engine: word-parallel bit-sliced
+//! kernels ([`ferrotcam::BitSlices`]) that evaluate 64 rows per machine
+//! word with `(query ^ value) & care` over pre-transposed match planes,
+//! plus the block-scan Hamming and lane-packed range kernels.
 //!
-//! * **Spice** — the reference tier: the scalar reference walk, one row
-//!   at a time over the stored packed words (two-step classification
-//!   for exact search, [`ferrotcam::row_distance`] for threshold and
-//!   top-k, [`ferrotcam::row_in_windows`] for range). Despite the name
-//!   it runs no circuit simulation; it is the boolean oracle.
-//! * **Behavioural** — the throughput tier: a word-parallel bit-sliced
-//!   kernel ([`ferrotcam::BitSlices`]) that evaluates 64 rows per
-//!   machine word with `(query ^ value) & care` over pre-transposed
-//!   match planes, plus the block-scan Hamming and lane-packed range
-//!   kernels. Same ternary semantics, orders of magnitude faster.
+//! Beside it sits the **reference walk** ([`reference_search`]): a
+//! scalar row-by-row pass over the stored packed words (two-step
+//! classification for exact search, [`ferrotcam::row_distance`] for
+//! threshold and top-k, [`ferrotcam::row_in_windows`] for range). It is
+//! never served; it is the boolean oracle the tests, the serve-bench
+//! agreement gate and the service's audit lane compare against (the
+//! lane passes the service's [`SenseModel`] so threshold rows are
+//! classified by the analog sense decision).
 //!
-//! The reference walk exists once: the Spice tier, [`reference_search`]
-//! and the service's audit lane all call it (the lane passes the
-//! service's [`SenseModel`] so threshold rows are classified by the
-//! analog sense decision). Both tiers execute a batch inline on the
-//! dispatcher thread that pulled it, shard by shard in plan order,
-//! against a [`SnapView`] — the immutable per-shard snapshot set the
-//! dispatcher captured for the batch — so online writes landing
-//! mid-batch can never tear a word under a running search. Each
-//! snapshot block already carries *both* representations (sliced
-//! planes for the fast tier, row-major packed words for the reference
-//! walk), so neither tier rebuilds anything per batch.
+//! A batch executes inline on the dispatcher thread that pulled it,
+//! shard by shard in plan order, against a [`SnapView`] — the immutable
+//! per-shard snapshot set the dispatcher captured for the batch — so
+//! online writes landing mid-batch can never tear a word under a
+//! running search. Each snapshot block already carries *both*
+//! representations (sliced planes for the kernels, row-major packed
+//! words for the reference walk), so nothing is rebuilt per batch.
 //!
-//! Both tiers return identical [`SearchOutcome`]s (global ids, sorted)
-//! and both charge the *same* modelled silicon schedule and the same
-//! SPICE-calibrated energy — the fast tier changes how the answer is
-//! computed, never what is attributed to it. That claim is not taken on
-//! faith: the service's sampled audit lane replays a deterministic
-//! fraction of accepted behavioural queries through the reference walk
-//! against the *same captured view* and compares match sets bit-for-bit
-//! and energies within a pinned tolerance ([`audit_compare`]).
+//! The kernels and the walk return identical [`SearchOutcome`]s (global
+//! ids, sorted). That claim is not taken on faith: the service's
+//! sampled audit lane replays a deterministic fraction of accepted
+//! queries through the reference walk against the *same captured view*
+//! and compares match sets bit-for-bit and energies within a pinned
+//! tolerance ([`audit_compare`]).
 
 use crate::batch;
 use crate::request::RequestKind;
@@ -41,44 +36,18 @@ use ferrotcam::approx::{threshold_search, top_k_chunked};
 use ferrotcam::{row_distance, row_in_windows, ApproxHit, PackedQuery, SearchOutcome, SenseModel};
 use ferrotcam_arch::sched::ScheduleOutcome;
 
-/// Which execution tier answers a query.
+/// The execution tier of [`crate::ServiceConfig::backend`]. Kept only
+/// so the `perfbench` harness, which names it, still compiles: there is
+/// one tier and the service never reads the field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// Reference tier: per-row boolean search (circuit-faithful order).
-    Spice,
-    /// Throughput tier: bit-parallel sliced kernel, SPICE-attributed.
+    /// The bit-parallel kernels, the only served tier.
     Behavioural,
 }
 
-impl BackendKind {
-    /// Parse a CLI/config spelling (`spice`, `behav`, `behavioural`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "spice" => Some(Self::Spice),
-            "behav" | "behavioural" | "behavioral" => Some(Self::Behavioural),
-            _ => None,
-        }
-    }
-
-    /// Short stable tag used in metric/curve ids (`spice` / `behav`).
-    #[must_use]
-    pub fn tag(self) -> &'static str {
-        match self {
-            Self::Spice => "spice",
-            Self::Behavioural => "behav",
-        }
-    }
-}
-
-impl std::fmt::Display for BackendKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.tag())
-    }
-}
-
-/// One planned batch handed to an execution tier: parallel arrays,
-/// one entry per job.
+/// One planned batch: parallel arrays, one entry per job. Public only
+/// because the `perfbench` harness builds batches for
+/// [`BehaviouralBackend`].
 #[derive(Debug, Clone, Copy)]
 pub struct BatchSpec<'a> {
     /// Packed queries (bit queries for exact/threshold/top-k; 2-bit
@@ -93,7 +62,8 @@ pub struct BatchSpec<'a> {
 }
 
 /// One executed batch: per-job outcomes plus the modelled bank
-/// schedule, in batch order.
+/// schedule, in batch order. Public only because the `perfbench`
+/// harness receives it from [`BehaviouralBackend`].
 #[derive(Debug, Clone)]
 pub struct ExecResult {
     /// Per-job merged outcome; matches are global slot ids, ascending.
@@ -107,19 +77,12 @@ pub struct ExecResult {
     pub sched: ScheduleOutcome,
 }
 
-/// An execution tier: plans a batch onto the banks and runs it.
+/// Batch execution as the `perfbench` harness calls it. Kept only for
+/// that harness; the service calls the kernels directly.
 pub trait ExecBackend: Send + Sync + std::fmt::Debug {
-    /// Which tier this is.
-    fn kind(&self) -> BackendKind;
-
-    /// The batch size this tier amortises best at (a hint — the
-    /// dispatcher uses it when the configured `max_batch` is 0).
-    fn preferred_batch(&self) -> usize;
-
     /// Execute one batch against a captured snapshot view, inline on
-    /// the calling thread. `jobs` is unused (kept so existing callers
-    /// compile); `t_bank` is the modelled per-bank busy time (s) for a
-    /// unit-cost query.
+    /// the calling thread. `jobs` is unused; `t_bank` is the modelled
+    /// per-bank busy time (s) for a unit-cost query.
     fn execute(
         &self,
         view: &SnapView,
@@ -158,13 +121,13 @@ fn finalize_job(kind: RequestKind, outcome: &mut SearchOutcome, hits: &mut Vec<A
             outcome.matches.sort_unstable();
             outcome.step1_misses = examined - hits.len();
         }
-        _ => unreachable!("write kinds never reach the search backends"),
+        _ => unreachable!("write kinds never reach the search kernels"),
     }
 }
 
 /// The reference walk for one job on one shard: a scalar row-by-row
 /// pass over the snapshot's packed words, never through the sliced
-/// planes or block-scan kernels the fast tier uses, with global row ids.
+/// planes or block-scan kernels, with global row ids.
 /// Exact search runs the two-step row classification of
 /// [`ferrotcam::PackedRows::search`]; threshold and top-k rank rows by
 /// [`row_distance`]; range tests [`row_in_windows`]. With a `sense`
@@ -245,9 +208,9 @@ fn reference_shard(
 
 /// The reference answer for one request over `target` (or a fan-out
 /// over every shard), merged and finalized exactly like a served batch.
-/// The audit lane replays sampled behavioural answers through this with
-/// the service's sense model, against the same captured view the fast
-/// tier answered from.
+/// The audit lane replays sampled served answers through this with the
+/// service's sense model, against the same captured view the kernels
+/// answered from.
 pub(crate) fn reference_answer(
     view: &SnapView,
     kind: RequestKind,
@@ -284,20 +247,98 @@ pub fn reference_search(
     reference_answer(view, kind, query, target, None)
 }
 
-/// Shared plan/execute/merge skeleton of both tiers: `search(s, j)`
-/// answers job `j` on shard `s` with *global* match ids. Runs inline on
-/// the calling thread, shard by shard in plan order.
-fn run_plan<F>(shards: usize, spec: &BatchSpec<'_>, t_bank: f64, search: F) -> ExecResult
-where
-    F: Fn(usize, usize) -> ShardAnswer,
-{
+/// One job on one shard through the bit-parallel kernels, with global
+/// row ids. Every snapshot block already holds its bit-sliced match
+/// planes (word-parallel step-1 rejection with a row-major step-2
+/// verify of the survivors), the packed words the popcount Hamming
+/// kernel scans, and (for even widths) the lane-packed `[lo,hi]` window
+/// table — all maintained incrementally by the copy-on-write shard
+/// snapshots, so nothing is transposed per batch.
+fn kernel_shard(view: &SnapView, s: usize, kind: RequestKind, q: &PackedQuery) -> ShardAnswer {
+    let snap = view.shard(s);
+    match kind {
+        RequestKind::Exact => {
+            let mut out = SearchOutcome::empty();
+            for (base, blk) in snap.blocks() {
+                let mut o = blk.slices().search(q);
+                for m in &mut o.matches {
+                    *m = view.global_row(s, base + *m);
+                }
+                out.absorb(o);
+            }
+            ShardAnswer {
+                outcome: out,
+                hits: Vec::new(),
+            }
+        }
+        RequestKind::Threshold { t } => {
+            let mut hits = Vec::new();
+            for (base, blk) in snap.blocks() {
+                let mut h = threshold_search(blk.packed(), q, t);
+                for hit in &mut h {
+                    hit.row = view.global_row(s, base + hit.row);
+                }
+                hits.extend(h);
+            }
+            let mut outcome = SearchOutcome::empty();
+            outcome.matches = hits.iter().map(|h| h.row).collect();
+            outcome.step1_misses = snap.rows() - hits.len();
+            ShardAnswer { outcome, hits }
+        }
+        RequestKind::TopK { k } => {
+            // One selection across every block: the heap's distance
+            // bound carries from block to block, so the copy-on-write
+            // layout prunes as hard as a contiguous scan. Local rows scan
+            // ascending and global ids are monotone in them, so the
+            // (distance, row) tie order is preserved.
+            let mut hits =
+                top_k_chunked(snap.blocks().map(|(base, blk)| (base, blk.packed())), q, k);
+            for hit in &mut hits {
+                hit.row = view.global_row(s, hit.row);
+            }
+            ShardAnswer {
+                outcome: SearchOutcome {
+                    matches: Vec::new(),
+                    step1_misses: snap.rows(),
+                    step2_misses: 0,
+                },
+                hits,
+            }
+        }
+        RequestKind::Range => {
+            let mut outcome = SearchOutcome::empty();
+            for (base, blk) in snap.blocks() {
+                let ranges = blk.ranges().expect("range queries need an even word width");
+                outcome.matches.extend(
+                    ranges
+                        .search(q)
+                        .iter()
+                        .map(|&l| view.global_row(s, base + l)),
+                );
+            }
+            outcome.step1_misses = snap.rows() - outcome.matches.len();
+            ShardAnswer {
+                outcome,
+                hits: Vec::new(),
+            }
+        }
+        _ => unreachable!("write kinds never reach the search kernels"),
+    }
+}
+
+/// Plan, execute and merge one batch on the bit-parallel kernels,
+/// inline on the calling thread, shard by shard in plan order; then
+/// model the batch's bank schedule. `t_bank` is the modelled per-bank
+/// busy time (s) for a unit-cost query.
+pub(crate) fn execute(view: &SnapView, spec: &BatchSpec<'_>, t_bank: f64) -> ExecResult {
+    let shards = view.shard_count();
     let plan = batch::plan(spec.targets, shards);
     let n = spec.targets.len();
     let mut outcomes: Vec<SearchOutcome> = (0..n).map(|_| SearchOutcome::empty()).collect();
     let mut hits: Vec<Vec<ApproxHit>> = (0..n).map(|_| Vec::new()).collect();
     for (s, list) in plan.per_shard.iter().enumerate() {
         for &j in list {
-            let ans = search(s, j);
+            let ans = kernel_shard(view, s, spec.kinds[j], &spec.queries[j]);
             outcomes[j].absorb(ans.outcome);
             hits[j].extend(ans.hits);
         }
@@ -314,52 +355,12 @@ where
     }
 }
 
-/// The reference tier: boolean per-row search on the behavioural
-/// shards, in circuit order.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SpiceBackend;
-
-impl ExecBackend for SpiceBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Spice
-    }
-
-    fn preferred_batch(&self) -> usize {
-        64
-    }
-
-    fn execute(
-        &self,
-        view: &SnapView,
-        spec: &BatchSpec<'_>,
-        _jobs: usize,
-        t_bank: f64,
-    ) -> ExecResult {
-        run_plan(view.shard_count(), spec, t_bank, |s, j| {
-            reference_shard(view, s, spec.kinds[j], &spec.queries[j], None)
-        })
-    }
-}
-
-/// The throughput tier. Stateless: every snapshot block already holds
-/// its bit-sliced match planes (word-parallel step-1 rejection with a
-/// row-major step-2 verify of the survivors), the packed words the
-/// popcount Hamming kernel scans, and (for even widths) the
-/// lane-packed `[lo,hi]` window table — all maintained incrementally
-/// by the copy-on-write shard snapshots, so nothing is transposed per
-/// batch and writes never invalidate a tier-side cache.
+/// The served kernels behind the [`ExecBackend`] trait. Kept only for
+/// the `perfbench` harness, which times batches through it.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BehaviouralBackend;
 
 impl ExecBackend for BehaviouralBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Behavioural
-    }
-
-    fn preferred_batch(&self) -> usize {
-        1024
-    }
-
     fn execute(
         &self,
         view: &SnapView,
@@ -367,79 +368,7 @@ impl ExecBackend for BehaviouralBackend {
         _jobs: usize,
         t_bank: f64,
     ) -> ExecResult {
-        run_plan(view.shard_count(), spec, t_bank, |s, j| {
-            let q = &spec.queries[j];
-            let snap = view.shard(s);
-            match spec.kinds[j] {
-                RequestKind::Exact => {
-                    let mut out = SearchOutcome::empty();
-                    for (base, blk) in snap.blocks() {
-                        let mut o = blk.slices().search(q);
-                        for m in &mut o.matches {
-                            *m = view.global_row(s, base + *m);
-                        }
-                        out.absorb(o);
-                    }
-                    ShardAnswer {
-                        outcome: out,
-                        hits: Vec::new(),
-                    }
-                }
-                RequestKind::Threshold { t } => {
-                    let mut hits = Vec::new();
-                    for (base, blk) in snap.blocks() {
-                        let mut h = threshold_search(blk.packed(), q, t);
-                        for hit in &mut h {
-                            hit.row = view.global_row(s, base + hit.row);
-                        }
-                        hits.extend(h);
-                    }
-                    let mut outcome = SearchOutcome::empty();
-                    outcome.matches = hits.iter().map(|h| h.row).collect();
-                    outcome.step1_misses = snap.rows() - hits.len();
-                    ShardAnswer { outcome, hits }
-                }
-                RequestKind::TopK { k } => {
-                    // One selection across every block: the heap's
-                    // distance bound carries from block to block, so
-                    // the copy-on-write layout prunes as hard as a
-                    // contiguous scan. Local rows scan ascending and
-                    // global ids are monotone in them, so the
-                    // (distance, row) tie order is preserved.
-                    let mut hits =
-                        top_k_chunked(snap.blocks().map(|(base, blk)| (base, blk.packed())), q, k);
-                    for hit in &mut hits {
-                        hit.row = view.global_row(s, hit.row);
-                    }
-                    ShardAnswer {
-                        outcome: SearchOutcome {
-                            matches: Vec::new(),
-                            step1_misses: snap.rows(),
-                            step2_misses: 0,
-                        },
-                        hits,
-                    }
-                }
-                RequestKind::Range => {
-                    let mut outcome = SearchOutcome::empty();
-                    for (base, blk) in snap.blocks() {
-                        let ranges = blk.ranges().expect("range queries need an even word width");
-                        outcome.matches.extend(
-                            ranges
-                                .search(q)
-                                .iter()
-                                .map(|&l| view.global_row(s, base + l)),
-                        );
-                    }
-                    outcome.step1_misses = snap.rows() - outcome.matches.len();
-                    ShardAnswer {
-                        outcome,
-                        hits: Vec::new(),
-                    }
-                }
-                _ => unreachable!("write kinds never reach the search backends"),
-            }
-        })
+        execute(view, spec, t_bank)
     }
 }
 
@@ -464,8 +393,8 @@ impl AuditVerdict {
     }
 }
 
-/// Replay comparison: the fast tier's outcome/energy against the
-/// reference tier's, with `tolerance` as the relative energy bound.
+/// Replay comparison: the served outcome/energy against the reference
+/// walk's, with `tolerance` as the relative energy bound.
 /// Match sets, ranked hit lists, and both miss counters must be
 /// *bit-identical* — the kernels compute the same search, so any drift
 /// is a bug, not noise.
@@ -559,25 +488,26 @@ mod tests {
         PackedQuery::from_words(width, &words)
     }
 
-    #[test]
-    fn kind_parses_and_tags() {
-        assert_eq!(BackendKind::parse("spice"), Some(BackendKind::Spice));
-        assert_eq!(BackendKind::parse("BEHAV"), Some(BackendKind::Behavioural));
-        assert_eq!(
-            BackendKind::parse("behavioural"),
-            Some(BackendKind::Behavioural)
-        );
-        assert_eq!(BackendKind::parse("fast"), None);
-        assert_eq!(BackendKind::Spice.tag(), "spice");
-        assert_eq!(BackendKind::Behavioural.to_string(), "behav");
+    /// Every job of `spec` on the served kernels, checked against the
+    /// reference walk job by job: matches, both step counters and the
+    /// ranked hits.
+    fn assert_kernels_match_reference(t: &SnapView, spec: &BatchSpec<'_>) -> ExecResult {
+        let got = BehaviouralBackend.execute(t, spec, 1, 1e-9);
+        for j in 0..spec.queries.len() {
+            let (want, want_hits) =
+                reference_search(t, spec.kinds[j], &spec.queries[j], spec.targets[j]);
+            assert_eq!(got.outcomes[j].matches, want.matches, "job {j}");
+            assert_eq!(got.outcomes[j].step1_misses, want.step1_misses, "job {j}");
+            assert_eq!(got.outcomes[j].step2_misses, want.step2_misses, "job {j}");
+            assert_eq!(got.hits[j], want_hits, "job {j} hits");
+        }
+        got
     }
 
     #[test]
-    fn tiers_agree_on_fanout_and_partitioned_batches() {
+    fn kernels_match_the_reference_on_fanout_and_partitioned_batches() {
         for width in [8usize, 64, 100] {
             let t = view(&table(200, 3, width));
-            let behav = BehaviouralBackend;
-            let spice = SpiceBackend;
             let mut seed = 0x1234_5678_9abc_def0 ^ width as u64;
             let queries: Vec<PackedQuery> = (0..24).map(|_| rand_query(width, &mut seed)).collect();
             let targets: Vec<Option<usize>> = (0..24)
@@ -591,27 +521,18 @@ mod tests {
                 targets: &targets,
                 costs: &costs,
             };
-            let a = spice.execute(&t, &spec, 1, 1e-9);
-            let b = behav.execute(&t, &spec, 1, 1e-9);
-            for j in 0..queries.len() {
-                assert_eq!(a.outcomes[j].matches, b.outcomes[j].matches, "job {j}");
-                assert_eq!(a.outcomes[j].step1_misses, b.outcomes[j].step1_misses);
-                assert_eq!(a.outcomes[j].step2_misses, b.outcomes[j].step2_misses);
-                assert!((a.per_job_latency_s[j] - b.per_job_latency_s[j]).abs() < 1e-18);
-            }
+            assert_kernels_match_reference(&t, &spec);
         }
     }
 
     #[test]
-    fn tiers_agree_on_mixed_kind_batches() {
+    fn kernels_match_the_reference_on_mixed_kind_batches() {
         // Every request kind, fan-out and pinned, on even widths up to a
         // two-word row (range mode needs an even width; random bit
         // queries are valid level queries too, since any 2-bit pattern
         // is a level 0..=3).
         for width in [8usize, 64, 128] {
             let t = view(&table(160, 4, width));
-            let behav = BehaviouralBackend;
-            let spice = SpiceBackend;
             let mut seed = 0xabcd_ef01_2345_6789 ^ width as u64;
             let n = 32;
             let queries: Vec<PackedQuery> = (0..n).map(|_| rand_query(width, &mut seed)).collect();
@@ -633,24 +554,12 @@ mod tests {
                 targets: &targets,
                 costs: &costs,
             };
-            let a = spice.execute(&t, &spec, 1, 1e-9);
-            let b = behav.execute(&t, &spec, 1, 1e-9);
-            for j in 0..n {
-                assert_eq!(a.outcomes[j].matches, b.outcomes[j].matches, "job {j}");
-                assert_eq!(
-                    a.outcomes[j].step1_misses, b.outcomes[j].step1_misses,
-                    "job {j}"
-                );
-                assert_eq!(a.outcomes[j].step2_misses, b.outcomes[j].step2_misses);
-                assert_eq!(a.hits[j], b.hits[j], "job {j} hits");
-                // And both tiers agree with the standalone reference.
-                let (ref_out, ref_hits) = reference_search(&t, kinds[j], &queries[j], targets[j]);
-                assert_eq!(a.outcomes[j].matches, ref_out.matches);
-                assert_eq!(a.hits[j], ref_hits);
-                // Top-k hit lists are capped and sorted best-first.
-                if let RequestKind::TopK { k } = kinds[j] {
-                    assert!(b.hits[j].len() <= k);
-                    assert!(b.hits[j].windows(2).all(|w| w[0] < w[1]));
+            let b = assert_kernels_match_reference(&t, &spec);
+            // Top-k hit lists are capped and sorted best-first.
+            for (kind, hits) in kinds.iter().zip(&b.hits) {
+                if let RequestKind::TopK { k } = *kind {
+                    assert!(hits.len() <= k);
+                    assert!(hits.windows(2).all(|w| w[0] < w[1]));
                 }
             }
         }

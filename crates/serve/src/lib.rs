@@ -12,11 +12,10 @@
 //! ([`queue`]), get coalesced into per-bank batches ([`batch`]) by
 //! per-shard work-stealing dispatchers (which park when idle and are
 //! woken on push, [`park`]), execute on copy-on-write shard
-//! snapshots ([`shard`]) through a tiered execution backend
-//! ([`backend`]) — the scalar reference walk or the bit-parallel
-//! behavioural tier with a sampled audit lane that replays answers
-//! through that same walk — inline on the dispatcher thread that pulled
-//! the batch, and come back with the exact Table IV early-termination
+//! snapshots ([`shard`]) through the bit-parallel kernels ([`backend`])
+//! — with a sampled audit lane that replays answers through the scalar
+//! reference walk — inline on the dispatcher thread that pulled the
+//! batch, and come back with the exact Table IV early-termination
 //! energy the search would have burned in silicon. Writes (insert /
 //! delete / update) publish fresh per-shard snapshots behind an epoch
 //! counter, so an in-flight search can never observe a torn word, and
@@ -81,7 +80,7 @@ pub(crate) mod sync;
 pub use admission::{Admission, Overloaded, RatePolicy, TenantId, TokenBucket};
 pub use backend::{
     audit_compare, reference_search, AuditVerdict, BackendKind, BatchSpec, BehaviouralBackend,
-    ExecBackend, ExecResult, SpiceBackend,
+    ExecBackend, ExecResult,
 };
 pub use drain::DrainGate;
 pub use metrics::{
@@ -91,7 +90,9 @@ pub use metrics::{
 pub use park::Sleepers;
 pub use queue::BoundedQueue;
 pub use request::{AdmissionClass, RequestKind, KIND_COUNT};
-pub use service::{SearchResponse, ServiceClient, ServiceConfig, TcamService, Ticket};
+pub use service::{
+    SearchResponse, ServiceClient, ServiceConfig, TcamService, Ticket, DEFAULT_MAX_BATCH,
+};
 pub use shard::{
     hash_bits, hash_packed, EpochCell, LiveTable, RowBlock, ShardSnap, ShardedTcam, SnapView,
     WriteAck, WriteOp, BLOCK_ROWS,

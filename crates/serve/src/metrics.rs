@@ -212,7 +212,8 @@ pub struct ServiceMetrics {
     pub bank_utilization: Vec<f64>,
     /// Longest modelled bank wait of any query (s).
     pub max_sched_wait_s: f64,
-    /// Behavioural queries replayed on the reference tier.
+    /// Answered queries the audit lane replayed through the reference
+    /// walk.
     #[serde(default)]
     pub audit_sampled: u64,
     /// Audit replays whose match sets disagreed (correctness bug).

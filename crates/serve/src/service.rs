@@ -12,7 +12,7 @@
 //!                                                         │
 //!                            deadline shed ◀──────────────┤
 //!                                                         │
-//!          ExecBackend (spice | behav) over the view, shard by shard,
+//!         bit-parallel kernels over the view, shard by shard,
 //!                  inline on the dispatcher thread ───────┤
 //!                                                         │
 //!                            merge + energy/latency attribution
@@ -54,13 +54,13 @@
 //! counted per kind in [`ServiceMetrics::shed_deadline`]. Writes are
 //! never deadline-shed — an accepted mutation must land.
 //!
-//! Queries answered on the behavioural tier pass through a **sampled
-//! audit lane**: a deterministic 1-in-`audit_period` subset (SplitMix64
-//! over a per-dispatcher accept counter, so the sample is reproducible
-//! and ungameable by arrival order) is replayed through the walk
+//! Answered queries pass through a **sampled audit lane**: a
+//! deterministic 1-in-`audit_period` subset (SplitMix64 over a
+//! per-dispatcher accept counter, so the sample is reproducible and
+//! ungameable by arrival order) is replayed through the reference walk
 //! behind [`crate::backend::reference_search`], given the service's
-//! sense model, *against the same captured view* the fast tier
-//! answered from — exact under concurrent writes by construction.
+//! sense model, *against the same captured view* the kernels answered
+//! from — exact under concurrent writes by construction.
 //! Match sets must be bit-identical and energies must agree within
 //! `audit_tolerance`; divergences are counted in [`ServiceMetrics`] and
 //! emitted as typed `spice::trace` audit events.
@@ -73,10 +73,7 @@
 //! request can fall between.
 
 use crate::admission::{Admission, Overloaded, RatePolicy, TenantId};
-use crate::backend::{
-    audit_compare, reference_answer, BackendKind, BatchSpec, BehaviouralBackend, ExecBackend,
-    ExecResult, SpiceBackend,
-};
+use crate::backend::{self, audit_compare, reference_answer, BackendKind, BatchSpec, ExecResult};
 use crate::drain::DrainGate;
 use crate::metrics::{MetricsCollector, ResponseSample, ServiceMetrics};
 use crate::park::Sleepers;
@@ -99,7 +96,7 @@ pub struct ServiceConfig {
     /// with the shard count. Each ring gets at least 2 slots.
     pub queue_capacity: usize,
     /// Most queries the dispatcher coalesces into one batch; 0 means
-    /// the backend's preferred batch size.
+    /// [`DEFAULT_MAX_BATCH`].
     pub max_batch: usize,
     /// Rate policy for tenants without an explicit one (exact traffic).
     pub default_policy: RatePolicy,
@@ -120,17 +117,23 @@ pub struct ServiceConfig {
     /// Override for the modelled per-bank busy time (s); defaults to
     /// the attached metrics' two-step latency, else 1 ns.
     pub t_bank: Option<f64>,
-    /// Which execution tier answers queries.
+    /// Kept only so the `perfbench` harness, which sets it, still
+    /// compiles: it has one value and is never read.
     pub backend: BackendKind,
-    /// Audit lane sampling period for behavioural queries: on average
-    /// one in `audit_period` accepted queries is replayed on the Spice
-    /// tier. 0 disables the lane.
+    /// Audit lane sampling period: on average one in `audit_period`
+    /// accepted queries is replayed through the reference walk. 0
+    /// disables the lane.
     pub audit_period: u64,
     /// Relative energy-agreement bound the audit lane enforces.
     pub audit_tolerance: f64,
     /// Seed of the deterministic audit sampler.
     pub audit_seed: u64,
 }
+
+/// The batch cap [`ServiceConfig::max_batch`] `= 0` stands for: deep
+/// enough that the kernels' per-query cost, not dispatch overhead, sets
+/// the rate under load.
+pub const DEFAULT_MAX_BATCH: usize = 1024;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -142,7 +145,7 @@ impl Default for ServiceConfig {
             write_policy: RatePolicy::unlimited(),
             deadline: None,
             t_bank: None,
-            backend: BackendKind::Spice,
+            backend: BackendKind::Behavioural,
             audit_period: 10_000,
             audit_tolerance: 1e-9,
             audit_seed: 0xfe77_0ca3_a0d1_7001,
@@ -243,7 +246,6 @@ struct Inner {
     /// one-step latency): feeds the batch planner's per-kind cost and
     /// the audit lane's sense-classified threshold reference.
     sense: Option<SenseModel>,
-    backend: Box<dyn ExecBackend>,
     audit_period: u64,
     audit_tolerance: f64,
     audit_seed: u64,
@@ -489,12 +491,6 @@ impl ServiceClient {
     pub fn table(&self) -> SnapView {
         self.inner.table.snapshot()
     }
-
-    /// The execution tier this service answers on.
-    #[must_use]
-    pub fn backend(&self) -> BackendKind {
-        self.inner.backend.kind()
-    }
 }
 
 /// The running service: owns one dispatcher thread per shard.
@@ -520,12 +516,8 @@ impl TcamService {
             .t_bank
             .or_else(|| table.model_latency())
             .unwrap_or(1e-9);
-        let backend: Box<dyn ExecBackend> = match config.backend {
-            BackendKind::Behavioural => Box::new(BehaviouralBackend),
-            BackendKind::Spice => Box::new(SpiceBackend),
-        };
         let max_batch = if config.max_batch == 0 {
-            backend.preferred_batch()
+            DEFAULT_MAX_BATCH
         } else {
             config.max_batch
         };
@@ -547,11 +539,10 @@ impl TcamService {
             metrics: MetricsCollector::with_dispatchers(shards),
             gate: DrainGate::new(),
             sleepers: Sleepers::new(shards),
-            max_batch: max_batch.max(1),
+            max_batch,
             t_bank,
             deadline: config.deadline,
             sense,
-            backend,
             audit_period: config.audit_period,
             audit_tolerance: config.audit_tolerance,
             audit_seed: config.audit_seed,
@@ -624,7 +615,7 @@ const YIELD_ROUNDS: u32 = 4;
 fn dispatch_loop(inner: &Inner, me: usize) {
     inner.sleepers.register(me);
     // The audit sampler's per-dispatcher monotone counter: advancing it
-    // per accepted behavioural job makes the 1-in-`period` sample
+    // per answered query makes the 1-in-`period` sample
     // deterministic for a given seed, independent of batching and of
     // which queue the job was stolen from.
     let mut audit_counter: u64 = 0;
@@ -703,8 +694,8 @@ fn kind_cost(kind: RequestKind, sense: Option<&SenseModel>, t_bank: f64) -> f64 
 
 /// Run one batch: apply its writes first (one epoch bump per touched
 /// shard), capture a snapshot view, deadline-shed expired queries, plan
-/// and execute the remaining searches on the configured tier against
-/// that view, model the bank schedule, attribute energy, audit a
+/// and execute the remaining searches on the bit-parallel kernels
+/// against that view, model the bank schedule, attribute energy, audit a
 /// sample, resolve tickets. Drains `jobs` in place so the dispatcher's
 /// batch buffer is reused across iterations.
 ///
@@ -714,7 +705,6 @@ fn kind_cost(kind: RequestKind, sense: Option<&SenseModel>, t_bank: f64) -> f64 
 fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &mut u64) {
     let tracing = trace::level() != TraceLevel::Off;
     let _span = tracing.then(|| trace::span("serve.batch"));
-    let backend = &*inner.backend;
 
     // Writes first, in batch order.
     let (writes, mut searches): (Vec<Job>, Vec<Job>) =
@@ -746,7 +736,7 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
         return;
     }
 
-    // The backend takes parallel arrays; the tickets stay with the jobs.
+    // The kernels take parallel arrays; the tickets stay with the jobs.
     let targets: Vec<Option<usize>> = searches.iter().map(|j| j.shard).collect();
     let queries: Vec<PackedQuery> = searches.iter().map(|j| j.query.clone()).collect();
     let kinds: Vec<RequestKind> = searches.iter().map(|j| j.kind).collect();
@@ -766,13 +756,13 @@ fn execute_batch(inner: &Inner, me: usize, jobs: &mut Vec<Job>, audit_counter: &
         hits,
         per_job_latency_s,
         sched,
-    } = backend.execute(&view, &spec, 0, inner.t_bank);
+    } = backend::execute(&view, &spec, inner.t_bank);
     inner.metrics.on_batch(searches.len(), &sched);
 
     // One clock read for the whole batch: per-job wall latency is pure
     // arithmetic against it.
     let now = Instant::now();
-    let audit = backend.kind() == BackendKind::Behavioural && inner.audit_period > 0;
+    let audit = inner.audit_period > 0;
     let mut samples: Vec<ResponseSample> = Vec::with_capacity(searches.len());
     let answers = outcomes.into_iter().zip(hits).zip(per_job_latency_s);
     for (job, ((outcome, hits), model_latency_s)) in searches.into_iter().zip(answers) {
@@ -895,13 +885,13 @@ fn apply_writes(inner: &Inner, mut writes: Vec<Job>) {
     inner.metrics.on_responses(&samples);
 }
 
-/// Replay one sampled behavioural answer through the reference walk
+/// Replay one sampled answer through the reference walk
 /// ([`crate::backend::reference_answer`]) and record the verdict. The
 /// walk gets the service's sense model, so threshold replays are
 /// classified by the circuit's analog sense decision rather than the
-/// digital rule the fast tier uses. The replay runs against the same
-/// captured view the fast tier answered from, which makes the lane
-/// exact under concurrent writes.
+/// digital rule the kernels use. The replay runs against the same
+/// captured view the kernels answered from, which makes the lane exact
+/// under concurrent writes.
 fn audit_replay(
     inner: &Inner,
     view: &SnapView,
@@ -989,7 +979,6 @@ mod tests {
 
     #[test]
     fn fanout_equals_unsharded_search() {
-        let t = table(32, 4);
         let reference = {
             let mut r = ferrotcam::BehavioralTcam::new(8);
             for i in 0..32u64 {
@@ -997,49 +986,24 @@ mod tests {
             }
             r
         };
-        let svc = TcamService::start(t, &ServiceConfig::default());
+        let svc = TcamService::start(table(32, 4), &ServiceConfig::default());
         let client = svc.client();
-        for v in [0u64, 3, 30, 93, 200] {
+        for v in [0u64, 3, 30, 93, 200, 255] {
             let resp = answered(exact(&client, 0, v, None).unwrap());
+            let flat = reference.search(&bits(v));
             assert_eq!(resp.matches, reference.search_naive(&bits(v)), "v={v}");
+            assert_eq!(resp.matches, flat.matches, "v={v}");
+            assert_eq!(resp.step1_misses, flat.step1_misses, "v={v}");
+            assert_eq!(resp.step2_misses, flat.step2_misses, "v={v}");
         }
         drop(svc);
     }
 
     #[test]
-    fn backends_answer_identically() {
-        for backend in [BackendKind::Spice, BackendKind::Behavioural] {
-            let config = ServiceConfig {
-                backend,
-                ..ServiceConfig::default()
-            };
-            let svc = TcamService::start(table(32, 4), &config);
-            let client = svc.client();
-            assert_eq!(client.backend(), backend);
-            let reference = {
-                let mut r = ferrotcam::BehavioralTcam::new(8);
-                for i in 0..32u64 {
-                    r.store(TernaryWord::from_u64(i * 3, 8));
-                }
-                r
-            };
-            for v in [0u64, 3, 30, 93, 200, 255] {
-                let resp = answered(exact(&client, 0, v, None).unwrap());
-                let flat = reference.search(&bits(v));
-                assert_eq!(resp.matches, flat.matches, "{backend} v={v}");
-                assert_eq!(resp.step1_misses, flat.step1_misses, "{backend} v={v}");
-                assert_eq!(resp.step2_misses, flat.step2_misses, "{backend} v={v}");
-            }
-            drop(svc);
-        }
-    }
-
-    #[test]
     fn audit_lane_samples_and_stays_clean() {
-        // Period 1 audits *every* behavioural query; any kernel bug
-        // would surface as a divergence here.
+        // Period 1 audits *every* query; any kernel bug would surface
+        // as a divergence here.
         let config = ServiceConfig {
-            backend: BackendKind::Behavioural,
             audit_period: 1,
             ..ServiceConfig::default()
         };
@@ -1059,7 +1023,6 @@ mod tests {
     #[test]
     fn noreply_submissions_are_counted_not_answered() {
         let config = ServiceConfig {
-            backend: BackendKind::Behavioural,
             audit_period: 0,
             ..ServiceConfig::default()
         };

@@ -227,82 +227,11 @@ impl ShardedTcam {
         (hash_packed(query) % self.shards.len() as u64) as usize
     }
 
-    /// Search one shard; matches come back as *global* slot ids.
-    ///
-    /// # Panics
-    /// Panics on width mismatch or `shard` out of range.
-    #[must_use]
-    pub fn search_shard(&self, shard: usize, query: &[bool]) -> SearchOutcome {
-        let mut out = self.shards[shard].search(query);
-        for m in &mut out.matches {
-            *m = self.global_row(shard, *m);
-        }
-        out
-    }
-
-    /// Fan-out search of every shard, merged into one outcome with
-    /// globally ascending match ids.
-    ///
-    /// # Panics
-    /// Panics on query-width mismatch.
-    #[must_use]
-    pub fn search_all(&self, query: &[bool]) -> SearchOutcome {
-        let mut merged = SearchOutcome::empty();
-        for s in 0..self.shards.len() {
-            merged.absorb(self.search_shard(s, query));
-        }
-        merged.matches.sort_unstable();
-        merged
-    }
-
-    /// Energy (J) a search with these statistics burned, per the
-    /// paper's early-termination model: every step-1 miss pays the
-    /// one-step row energy, every surviving row the full two-step
-    /// figure. `None` without attached metrics.
-    ///
-    /// Equals `rows × SearchMetrics::energy_avg(measured miss rate)`
-    /// by construction, so responses can be audited against the
-    /// standalone `core::fom` number.
-    #[must_use]
-    pub fn energy_of(&self, outcome: &SearchOutcome) -> Option<f64> {
-        let m = self.metrics.as_ref()?;
-        let e1 = m.energy_1step;
-        let e2 = m.energy_2step.unwrap_or(m.energy_1step);
-        Some(outcome.step1_misses as f64 * e1 + outcome.survivors() as f64 * e2)
-    }
-
     /// Unloaded per-search silicon latency (s) from the attached
     /// metrics.
     #[must_use]
     pub fn model_latency(&self) -> Option<f64> {
         self.metrics.as_ref().map(SearchMetrics::latency)
-    }
-
-    /// Energy (J) of a full-parallel drive over `rows` rows — the
-    /// approximate-match figure. Distance and range sensing race every
-    /// match line to the sense moment, so no row early-terminates:
-    /// each pays the full two-step row energy.
-    #[must_use]
-    pub fn energy_full_parallel(&self, rows: usize) -> Option<f64> {
-        let m = self.metrics.as_ref()?;
-        Some(rows as f64 * m.energy_2step.unwrap_or(m.energy_1step))
-    }
-
-    /// Energy (J) of one answered request: early-termination
-    /// accounting ([`Self::energy_of`]) for exact matches,
-    /// full-parallel accounting for the approximate kinds, `None` for
-    /// writes (priced by the 3-step program, not a search model).
-    #[must_use]
-    pub fn energy_of_kind(
-        &self,
-        kind: crate::request::RequestKind,
-        outcome: &SearchOutcome,
-    ) -> Option<f64> {
-        match kind {
-            crate::request::RequestKind::Exact => self.energy_of(outcome),
-            k if k.is_write() => None,
-            _ => self.energy_full_parallel(outcome.rows_examined()),
-        }
     }
 }
 
@@ -340,8 +269,7 @@ impl RowBlock {
         self.len() == 0
     }
 
-    /// The bit-sliced match planes (the behavioural tier's exact
-    /// kernel).
+    /// The bit-sliced match planes (the served exact kernel).
     #[must_use]
     pub fn slices(&self) -> &BitSlices {
         &self.slices
@@ -816,9 +744,7 @@ impl LiveTable {
 /// An immutable view of every shard, captured at one instant by
 /// [`LiveTable::snapshot`]. A dispatcher executes a whole batch against
 /// one view, so a search can never observe a torn word — it sees each
-/// shard exactly as of that shard's recorded epoch. The accessors
-/// mirror [`ShardedTcam`]'s so the execution backends are agnostic to
-/// whether the table is live.
+/// shard exactly as of that shard's recorded epoch.
 #[derive(Debug, Clone)]
 pub struct SnapView {
     width: usize,
@@ -891,8 +817,14 @@ impl SnapView {
         (hash_packed(query) % self.shards.len() as u64) as usize
     }
 
-    /// Energy (J) of a search per the early-termination model; `None`
-    /// without attached metrics. See [`ShardedTcam::energy_of`].
+    /// Energy (J) a search with these statistics burned, per the
+    /// paper's early-termination model: every step-1 miss pays the
+    /// one-step row energy, every surviving row the full two-step
+    /// figure. `None` without attached metrics.
+    ///
+    /// Equals `rows × SearchMetrics::energy_avg(measured miss rate)`
+    /// by construction, so responses can be audited against the
+    /// standalone `core::fom` number.
     #[must_use]
     pub fn energy_of(&self, outcome: &SearchOutcome) -> Option<f64> {
         let m = self.metrics.as_ref()?;
@@ -908,18 +840,21 @@ impl SnapView {
         self.metrics.as_ref().map(SearchMetrics::latency)
     }
 
-    /// Energy (J) of a full-parallel drive over `rows` rows (the
-    /// approximate-match figure). See
-    /// [`ShardedTcam::energy_full_parallel`].
+    /// Energy (J) of a full-parallel drive over `rows` rows — the
+    /// approximate-match figure. Distance and range sensing race every
+    /// match line to the sense moment, so no row early-terminates:
+    /// each pays the full two-step row energy.
     #[must_use]
     pub fn energy_full_parallel(&self, rows: usize) -> Option<f64> {
         let m = self.metrics.as_ref()?;
         Some(rows as f64 * m.energy_2step.unwrap_or(m.energy_1step))
     }
 
-    /// Energy (J) of one answered request by kind. Write kinds return
-    /// `None` here — they are priced by the 3-step program figures
-    /// ([`LiveTable::write_metrics`]), not by a search model.
+    /// Energy (J) of one answered request: early-termination
+    /// accounting ([`Self::energy_of`]) for exact matches,
+    /// full-parallel accounting for the approximate kinds. Write kinds
+    /// return `None` here — they are priced by the 3-step program
+    /// figures ([`LiveTable::write_metrics`]), not by a search model.
     #[must_use]
     pub fn energy_of_kind(&self, kind: RequestKind, outcome: &SearchOutcome) -> Option<f64> {
         match kind {
@@ -933,6 +868,7 @@ impl SnapView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::reference_search;
     use ferrotcam::DesignKind;
 
     fn metrics() -> SearchMetrics {
@@ -952,6 +888,12 @@ mod tests {
             .collect()
     }
 
+    /// Fan-out exact search of every shard of `t`, merged.
+    fn search_all(t: &SnapView, query: &[bool]) -> SearchOutcome {
+        let q = PackedQuery::from_bits(query);
+        reference_search(t, RequestKind::Exact, &q, None).0
+    }
+
     #[test]
     fn fanout_matches_unsharded_reference() {
         let mut reference = BehavioralTcam::new(8);
@@ -961,9 +903,10 @@ mod tests {
             let row = reference.store(w);
             assert_eq!(global, row, "round-robin fill keeps insertion ids");
         }
+        let view = LiveTable::from_sharded(&sharded).snapshot();
         for q in [0u64, 7, 21, 77, 255] {
             let query: Vec<bool> = (0..8).rev().map(|b| (q >> b) & 1 == 1).collect();
-            let merged = sharded.search_all(&query);
+            let merged = search_all(&view, &query);
             let flat = reference.search(&query);
             assert_eq!(merged.matches, flat.matches, "query {q}");
             assert_eq!(merged.step1_misses, flat.step1_misses);
@@ -981,8 +924,9 @@ mod tests {
                 t.store(w);
             }
             t.attach_metrics(metrics());
-            let out = t.search_all(&query);
-            energies.push(t.energy_of(&out).unwrap());
+            let view = LiveTable::from_sharded(&t).snapshot();
+            let out = search_all(&view, &query);
+            energies.push(view.energy_of(&out).unwrap());
         }
         for e in &energies[1..] {
             assert!((e - energies[0]).abs() < 1e-30, "{energies:?}");
@@ -997,10 +941,11 @@ mod tests {
         }
         t.attach_metrics(metrics());
         let query: Vec<bool> = (0..8).map(|i| i % 2 == 0).collect();
-        let out = t.search_all(&query);
+        let view = LiveTable::from_sharded(&t).snapshot();
+        let out = search_all(&view, &query);
         let rows = t.len() as f64;
         let standalone = rows * metrics().energy_avg(out.step1_miss_rate());
-        let served = t.energy_of(&out).unwrap();
+        let served = view.energy_of(&out).unwrap();
         assert!(
             (served - standalone).abs() < 1e-9 * standalone.max(1e-30),
             "served {served:.6e} vs fom {standalone:.6e}"
@@ -1354,10 +1299,13 @@ mod tests {
             );
         }
         assert_eq!(view.metrics(), sharded.metrics());
-        // The view prices searches exactly like the built table.
-        let q = bits(0x15, 8);
-        let outcome = sharded.search_all(&q);
-        assert_eq!(view.energy_of(&outcome), sharded.energy_of(&outcome));
+        // The view prices searches by the attached metrics'
+        // early-termination formula.
+        let outcome = search_all(&view, &bits(0x15, 8));
+        let m = metrics();
+        let formula = outcome.step1_misses as f64 * m.energy_1step
+            + outcome.survivors() as f64 * m.energy_2step.unwrap();
+        assert_eq!(view.energy_of(&outcome), Some(formula));
         assert_eq!(
             view.energy_of_kind(RequestKind::Insert, &outcome),
             None,
