@@ -105,13 +105,24 @@ fn us(v: Option<f64>) -> f64 {
     v.map_or(f64::NAN, |ns| ns / 1e3)
 }
 
-/// Per-dispatcher counters of one run, `d<i> batches/steals/parks/wakeups`:
-/// parks near the batch count mean idle dispatchers sleep, not poll.
+/// Per-dispatcher counters of one run,
+/// `d<i> batches/steals/parks/wakeups/busy`: parks near the batch count
+/// mean idle dispatchers sleep, not poll; busy is the time spent
+/// executing batches, in ms.
 fn dispatch_counters(m: &ServiceMetrics) -> String {
     m.dispatchers
         .iter()
         .enumerate()
-        .map(|(i, d)| format!("d{i} {}/{}/{}/{}", d.batches, d.steals, d.parks, d.wakeups))
+        .map(|(i, d)| {
+            format!(
+                "d{i} {}/{}/{}/{}/{:.1}ms",
+                d.batches,
+                d.steals,
+                d.parks,
+                d.wakeups,
+                d.busy_ns as f64 / 1e6
+            )
+        })
         .collect::<Vec<_>>()
         .join("  ")
 }
@@ -591,7 +602,7 @@ fn run_exact(opts: &Opts, metrics: &SearchMetrics, curves: &mut Vec<CurvePoint>)
             us(m.wall_latency_ns.p99)
         );
         println!(
-            "          dispatchers (batches/steals/parks/wakeups): {}",
+            "          dispatchers (batches/steals/parks/wakeups/busy): {}",
             dispatch_counters(&m)
         );
         capacities.push(qps);
@@ -628,7 +639,7 @@ fn run_exact(opts: &Opts, metrics: &SearchMetrics, curves: &mut Vec<CurvePoint>)
         m_over.max_queue_depth
     );
     println!(
-        "          dispatchers (batches/steals/parks/wakeups): {}",
+        "          dispatchers (batches/steals/parks/wakeups/busy): {}",
         dispatch_counters(&m_over)
     );
     curves.push(curve_point(
@@ -707,6 +718,12 @@ fn run_approx(opts: &Opts, metrics: &SearchMetrics, curves: &mut Vec<CurvePoint>
             "  approx  {ktag:<9} open   offered {offered:>9.0} qps -> {open_qps:>9.0} qps, audit {} sampled / {} divergent",
             m_open.audit_sampled,
             m_open.audit_match_divergences + m_open.audit_energy_divergences
+        );
+        let busy_ns: u64 = m_open.dispatchers.iter().map(|d| d.busy_ns).sum();
+        println!(
+            "          dispatchers (batches/steals/parks/wakeups/busy): {}   busy {:.2} us/query",
+            dispatch_counters(&m_open),
+            busy_ns as f64 / 1e3 / m_open.completed.max(1) as f64
         );
         let mut point = curve_point(
             &format!("open_approx_{ktag}_shards{shards}"),

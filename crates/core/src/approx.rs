@@ -20,12 +20,19 @@
 //! high bit and digit `2j+1` the low bit of level `j`, so a stored
 //! ternary row induces a window per cell (`X` widens the corresponding
 //! bit to both values) and a binary query induces a level per cell.
-//! [`RangeRows`] evaluates all 32 windows of a packed word at once
-//! with a SWAR borrow trick over 2-bit lanes. Range match is a
-//! genuinely different predicate from ternary match: stored `X1` gives
-//! the window `[1, 3]`, which admits query level `2` (`10`) — a query
-//! ternary match rejects.
+//! Range match is a genuinely different predicate from ternary match:
+//! stored `X1` gives the window `[1, 3]`, which admits query level `2`
+//! (`10`) — a query ternary match rejects. There is no second table:
+//! the served kernel is [`BitSlices::range_search`] over the same
+//! sliced planes as exact search. A level can lie in a cell's window
+//! only if the cell's high digit (an even digit) matches the query's
+//! high bit, so the exact kernel's early-terminating step-1 sweep
+//! kills most rows, and each survivor takes a SWAR borrow test that
+//! evaluates all 32 windows of a packed word at once from `value` and
+//! `value | !care`. [`row_in_windows`] is the independent digit-case
+//! oracle the tests and the serve layer's reference walk use.
 //!
+//! [`BitSlices::range_search`]: crate::packed::BitSlices::range_search
 //! [`BehavioralTcam::nearest`]: crate::behav::BehavioralTcam::nearest
 //! [`TernaryWord::mismatch_count`]: crate::ternary::TernaryWord::mismatch_count
 
@@ -60,12 +67,39 @@ impl PartialOrd for ApproxHit {
 /// Bitmask of rows in one ≤64-row block whose masked-Hamming distance
 /// from `qh` is strictly below `lim` (bit `i` set for `vs[i]`/`cs[i]`).
 /// The branchless XOR/AND/POPCNT/compare shape keeps the loop
-/// vectorizable; both block-scan kernels share it.
+/// vectorizable; both block-scan kernels share it. Full blocks take
+/// [`full_block_candidates`]; a partial tail block keeps the plain loop.
 #[inline]
 fn block_candidates(qh: u64, vs: &[u64], cs: &[u64], lim: u32) -> u64 {
+    if let (Ok(vs), Ok(cs)) = (<&[u64; 64]>::try_from(vs), <&[u64; 64]>::try_from(cs)) {
+        return full_block_candidates(qh, vs, cs, lim);
+    }
     let mut mask = 0u64;
     for (i, (&v, &c)) in vs.iter().zip(cs.iter()).enumerate() {
         let d = ((qh ^ v) & c).count_ones();
+        mask |= u64::from(d < lim) << i;
+    }
+    mask
+}
+
+/// [`block_candidates`] over a full 64-row block. The fixed trip count
+/// lets the compiler unroll and vectorize both passes. The first pass
+/// only reduces the block's minimum distance; under a tight bound (a
+/// small threshold, or top-k once its heap fills) most blocks have no
+/// row below `lim` and return before the mask is built.
+#[inline]
+fn full_block_candidates(qh: u64, vs: &[u64; 64], cs: &[u64; 64], lim: u32) -> u64 {
+    let mut dist = [0u32; 64];
+    let mut min = u32::MAX;
+    for ((d, &v), &c) in dist.iter_mut().zip(vs).zip(cs) {
+        *d = ((qh ^ v) & c).count_ones();
+        min = min.min(*d);
+    }
+    if min >= lim {
+        return 0;
+    }
+    let mut mask = 0u64;
+    for (i, &d) in dist.iter().enumerate() {
         mask |= u64::from(d < lim) << i;
     }
     mask
@@ -132,101 +166,15 @@ pub fn threshold_search(rows: &PackedRows, q: &PackedQuery, t: u32) -> Vec<Appro
 
 /// The `k` nearest stored rows by masked-Hamming distance, sorted by
 /// `(distance, row)` — deterministic tie-breaking, lowest row wins.
-/// Returns fewer than `k` hits only when the table has fewer rows.
+/// Returns fewer than `k` hits only when the table has fewer rows. One
+/// contiguous chunk of [`top_k_chunked`].
 ///
 /// # Panics
 /// Panics on query-width mismatch.
 #[must_use]
 pub fn top_k(rows: &PackedRows, q: &PackedQuery, k: usize) -> Vec<ApproxHit> {
     assert_eq!(q.width(), rows.width(), "query width mismatch");
-    if k == 0 {
-        return Vec::new();
-    }
-    if rows.wpr == 1 {
-        return top_k_blocked(rows, q, k);
-    }
-    // Bounded max-heap: the root is the current worst of the best k,
-    // replaced whenever a strictly better hit arrives. Row order is
-    // ascending, so on equal distance the incumbent (lower row) wins.
-    let mut heap: BinaryHeap<ApproxHit> = BinaryHeap::with_capacity(k + 1);
-    for row in 0..rows.rows() {
-        let hit = ApproxHit {
-            row,
-            distance: row_distance(rows, row, q),
-        };
-        if heap.len() < k {
-            heap.push(hit);
-        } else if hit < *heap.peek().expect("heap is non-empty at capacity") {
-            heap.pop();
-            heap.push(hit);
-        }
-    }
-    let mut hits = heap.into_vec();
-    hits.sort_unstable();
-    hits
-}
-
-/// Serving hot path for [`top_k`] (≤64-digit rows): a single pass in
-/// 64-row blocks. Each block runs the branchless mask loop (one
-/// XOR/AND/POPCNT/compare per row, a shape the compiler can
-/// vectorize) flagging rows that beat the current k-th best distance;
-/// only flagged rows touch the bounded heap that maintains the best k
-/// and the bound. Rows scan in ascending order, so a later row that
-/// merely ties the k-th best can never displace it — the strict
-/// `d < bound` flag is exact — and once the heap fills the bound is
-/// tight enough that almost every block contributes nothing.
-fn top_k_blocked(rows: &PackedRows, q: &PackedQuery, k: usize) -> Vec<ApproxHit> {
-    let qh = q.word(0);
-    let n = rows.rows();
-    if k >= n {
-        let mut hits: Vec<ApproxHit> = rows
-            .value
-            .iter()
-            .zip(rows.care.iter())
-            .enumerate()
-            .map(|(row, (&v, &c))| ApproxHit {
-                row,
-                distance: ((qh ^ v) & c).count_ones(),
-            })
-            .collect();
-        hits.sort_unstable();
-        return hits;
-    }
-    // Bounded max-heap over flagged rows only: the root is the worst
-    // of the current best k, and `bound` mirrors its distance so the
-    // mask loop skips everything that cannot enter.
-    let mut heap: BinaryHeap<ApproxHit> = BinaryHeap::with_capacity(k + 1);
-    let mut bound = u32::MAX;
-    let blocks = rows.value.chunks(64).zip(rows.care.chunks(64));
-    for (block, (vs, cs)) in blocks.enumerate() {
-        let mut mask = block_candidates(qh, vs, cs, bound);
-        if mask == 0 {
-            continue;
-        }
-        let base = block * 64;
-        while mask != 0 {
-            let i = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let hit = ApproxHit {
-                row: base + i,
-                distance: ((qh ^ vs[i]) & cs[i]).count_ones(),
-            };
-            if heap.len() < k {
-                heap.push(hit);
-            } else if hit < *heap.peek().expect("heap is non-empty at capacity") {
-                heap.pop();
-                heap.push(hit);
-            } else {
-                continue;
-            }
-            if heap.len() == k {
-                bound = heap.peek().expect("heap holds k hits").distance;
-            }
-        }
-    }
-    let mut hits = heap.into_vec();
-    hits.sort_unstable();
-    hits
+    top_k_chunked(std::iter::once((0, rows)), q, k)
 }
 
 /// Merge per-shard top-k hit lists into the global top-k. Each input
@@ -252,6 +200,14 @@ pub fn merge_top_k(lists: &[Vec<ApproxHit>], k: usize) -> Vec<ApproxHit> {
 /// arrive in ascending row order for the `(distance, row)` tie-break
 /// to match a contiguous [`top_k`] over the concatenation.
 ///
+/// On ≤64-digit rows the scan goes in 64-row blocks: the branchless
+/// mask pass (`block_candidates`) flags rows that beat the current
+/// k-th best distance, and only flagged rows touch the heap. Rows scan
+/// in ascending order, so a later row that merely ties the k-th best
+/// can never displace it — the strict `d < bound` flag is exact — and
+/// once the heap fills the bound is tight enough that almost every
+/// block contributes nothing.
+///
 /// # Panics
 /// Panics if any chunk's width mismatches the query's.
 #[must_use]
@@ -262,19 +218,23 @@ where
     if k == 0 {
         return Vec::new();
     }
+    // The root is the worst of the current best k; `bound` mirrors its
+    // distance once the heap is full.
     let mut heap: BinaryHeap<ApproxHit> = BinaryHeap::with_capacity(k + 1);
     let mut bound = u32::MAX;
     let offer = |heap: &mut BinaryHeap<ApproxHit>, bound: &mut u32, hit: ApproxHit| {
         if heap.len() < k {
             heap.push(hit);
-        } else if hit < *heap.peek().expect("heap is non-empty at capacity") {
-            heap.pop();
-            heap.push(hit);
-        } else {
-            return;
+        } else if let Some(mut worst) = heap.peek_mut() {
+            if hit >= *worst {
+                return;
+            }
+            // Replacing the root in place sifts once; pop + push sifts
+            // twice.
+            *worst = hit;
         }
         if heap.len() == k {
-            *bound = heap.peek().expect("heap holds k hits").distance;
+            *bound = heap.peek().map_or(u32::MAX, |h| h.distance);
         }
     };
     for (chunk_base, rows) in chunks {
@@ -284,9 +244,6 @@ where
             let blocks = rows.value.chunks(64).zip(rows.care.chunks(64));
             for (block, (vs, cs)) in blocks.enumerate() {
                 let mut mask = block_candidates(qh, vs, cs, bound);
-                if mask == 0 {
-                    continue;
-                }
                 let base = chunk_base + block * 64;
                 while mask != 0 {
                     let i = mask.trailing_zeros() as usize;
@@ -349,157 +306,20 @@ fn word_in_window(q: u64, lo: u64, hi: u64) -> bool {
         && nibble_ge((hi >> 2) & M, q1) == H
 }
 
-/// FeCAM-style range table: per cell a stored `[lo, hi]` level window
-/// (levels 0–3), matched when every query level falls inside. Stored
-/// as two lane-ordered plane vectors (level `j` in bits `2j..=2j+1`);
-/// tail lanes beyond the cell count hold the full `[0, 3]` window so
-/// they never reject.
-#[derive(Debug, Clone, Default)]
-pub struct RangeRows {
-    cells: usize,
-    wpr: usize,
-    rows: usize,
-    lo: Vec<u64>,
-    hi: Vec<u64>,
-}
-
-impl RangeRows {
-    /// Empty range table of `cells` 4-level cells per row (row width
-    /// `2 * cells` digits).
-    #[must_use]
-    pub fn new(cells: usize) -> Self {
-        Self {
-            cells,
-            wpr: (2 * cells).div_ceil(64),
-            rows: 0,
-            lo: Vec::new(),
-            hi: Vec::new(),
-        }
-    }
-
-    /// Append one row of per-cell windows.
-    ///
-    /// # Panics
-    /// Panics on cell-count mismatch or any window with `lo > hi` or a
-    /// bound above level 3.
-    pub fn push(&mut self, windows: &[(u8, u8)]) {
-        assert_eq!(windows.len(), self.cells, "window count mismatch");
-        let base = self.lo.len();
-        self.lo.resize(base + self.wpr, 0);
-        // Tail lanes default to the full window.
-        self.hi.resize(base + self.wpr, !0);
-        for (j, &(lo, hi)) in windows.iter().enumerate() {
-            assert!(lo <= hi && hi <= 3, "bad window [{lo}, {hi}] at cell {j}");
-            let (w, sh) = (j / 32, 2 * (j % 32));
-            self.lo[base + w] |= u64::from(lo) << sh;
-            self.hi[base + w] &= !(0b11u64 << sh);
-            self.hi[base + w] |= u64::from(hi) << sh;
-        }
-        self.rows += 1;
-    }
-
-    /// Reinterpret a packed ternary table as range rows: each digit
-    /// pair is one cell, an `X` digit widens its bit of the window to
-    /// both values (`lo` from the value plane, `hi` from
-    /// `value | !care`).
-    ///
-    /// # Panics
-    /// Panics on odd row width (a trailing half-cell has no level).
-    #[must_use]
-    pub fn from_packed(p: &PackedRows) -> Self {
-        assert!(
-            p.width().is_multiple_of(2),
-            "range mode pairs digits into cells; width must be even"
-        );
-        let mut r = Self::new(p.width() / 2);
-        r.rows = p.rows();
-        r.lo = p.value.iter().map(|&w| lane_swap(w)).collect();
-        // `!care` is 1 beyond the row width too, so tail lanes get the
-        // always-match [0, 3] window for free.
-        r.hi = p
-            .value
-            .iter()
-            .zip(p.care.iter())
-            .map(|(&v, &c)| lane_swap(v | !c))
-            .collect();
-        r
-    }
-
-    /// Cells per row.
-    #[must_use]
-    pub fn cells(&self) -> usize {
-        self.cells
-    }
-
-    /// Stored row count.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Whether the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Row width in digits (two per cell).
-    #[must_use]
-    pub fn width(&self) -> usize {
-        2 * self.cells
-    }
-
-    /// The stored window of one cell.
-    ///
-    /// # Panics
-    /// Panics if `row` or `cell` is out of range.
-    #[must_use]
-    pub fn window(&self, row: usize, cell: usize) -> (u8, u8) {
-        assert!(row < self.rows && cell < self.cells, "window out of range");
-        let (w, sh) = (row * self.wpr + cell / 32, 2 * (cell % 32));
-        (
-            ((self.lo[w] >> sh) & 0b11) as u8,
-            ((self.hi[w] >> sh) & 0b11) as u8,
-        )
-    }
-
-    /// Whether every query level of `row` falls inside its window.
-    ///
-    /// # Panics
-    /// Panics if `row` is out of range or the query width mismatches.
-    #[must_use]
-    pub fn in_window(&self, row: usize, q: &PackedQuery) -> bool {
-        assert_eq!(q.width(), self.width(), "query width mismatch");
-        assert!(row < self.rows, "row {row} out of range");
-        let base = row * self.wpr;
-        (0..self.wpr)
-            .all(|w| word_in_window(lane_swap(q.word(w)), self.lo[base + w], self.hi[base + w]))
-    }
-
-    /// Every in-window row for the query, ascending.
-    ///
-    /// # Panics
-    /// Panics on query-width mismatch.
-    #[must_use]
-    pub fn search(&self, q: &PackedQuery) -> Vec<usize> {
-        assert_eq!(q.width(), self.width(), "query width mismatch");
-        let mut hits = Vec::new();
-        if self.wpr == 1 {
-            let qw = lane_swap(q.word(0));
-            for (row, (&lo, &hi)) in self.lo.iter().zip(self.hi.iter()).enumerate() {
-                if word_in_window(qw, lo, hi) {
-                    hits.push(row);
-                }
-            }
-        } else {
-            for row in 0..self.rows {
-                if self.in_window(row, q) {
-                    hits.push(row);
-                }
-            }
-        }
-        hits
-    }
+/// The SWAR range test of one stored row, derived on the fly from its
+/// packed words: `lo = lane_swap(value)` and `hi = lane_swap(value |
+/// !care)` (an `X` digit widens its bit of the window to both values).
+/// `!care` is 1 beyond the row width, so tail lanes get the
+/// always-match `[0, 3]` window for free. The survivor check of
+/// [`BitSlices::range_search`](crate::packed::BitSlices::range_search);
+/// the caller checks widths.
+#[inline]
+pub(crate) fn row_in_range(rows: &PackedRows, row: usize, q: &PackedQuery) -> bool {
+    let base = row * rows.wpr;
+    (0..rows.wpr).all(|w| {
+        let (v, c) = (rows.value[base + w], rows.care[base + w]);
+        word_in_window(lane_swap(q.word(w)), lane_swap(v), lane_swap(v | !c))
+    })
 }
 
 /// The 4-level cell levels a binary query drives: level `j` is
@@ -532,7 +352,7 @@ pub fn levels_to_query(levels: &[u8]) -> PackedQuery {
 }
 
 /// The per-cell windows a stored ternary word induces (the naive
-/// mirror of [`RangeRows::from_packed`], used as the range oracle).
+/// per-cell definition the range oracles are tested against).
 ///
 /// # Panics
 /// Panics on odd word length.
@@ -557,8 +377,8 @@ pub fn word_windows(w: &TernaryWord) -> Vec<(u8, u8)> {
 
 /// Whether one stored row's per-cell windows contain the query's
 /// levels — a digit-case evaluation over the packed planes, derived
-/// independently of [`RangeRows`]' SWAR borrow trick so the two stay
-/// separate witnesses of the same predicate. Containment splits by
+/// independently of the served kernel's SWAR borrow trick so the two
+/// stay separate witnesses of the same predicate. Containment splits by
 /// the cell's care pattern: a cared hi digit pins the level's high
 /// bit (and with the lo digit also cared the window is a point); a
 /// wildcard hi digit over a cared lo value `v` spans `[v, v + 2]`,
@@ -593,6 +413,7 @@ pub fn row_in_windows(rows: &PackedRows, row: usize, q: &PackedQuery) -> bool {
 mod tests {
     use super::*;
     use crate::behav::BehavioralTcam;
+    use crate::packed::BitSlices;
 
     fn table() -> (BehavioralTcam, PackedRows) {
         let mut t = BehavioralTcam::new(6);
@@ -663,13 +484,24 @@ mod tests {
         assert_eq!(merged, global);
     }
 
+    /// The window of `cell` as the served kernel derives it on the fly:
+    /// `lo` from the value plane, `hi` from `value | !care`, both
+    /// lane-swapped into level order.
+    fn derived_window(p: &PackedRows, row: usize, cell: usize) -> (u8, u8) {
+        let (w, sh) = (row * p.wpr + cell / 32, 2 * (cell % 32));
+        let (v, c) = (p.value[w], p.care[w]);
+        (
+            ((lane_swap(v) >> sh) & 0b11) as u8,
+            ((lane_swap(v | !c) >> sh) & 0b11) as u8,
+        )
+    }
+
     #[test]
-    fn range_window_planes_agree_with_word_windows() {
+    fn derived_windows_agree_with_word_windows() {
         let (t, p) = table();
-        let r = RangeRows::from_packed(&p);
         for (i, row) in t.rows().iter().enumerate() {
             let want = word_windows(row);
-            let got: Vec<(u8, u8)> = (0..r.cells()).map(|c| r.window(i, c)).collect();
+            let got: Vec<(u8, u8)> = (0..3).map(|c| derived_window(&p, i, c)).collect();
             assert_eq!(got, want, "row {i}");
         }
     }
@@ -680,26 +512,28 @@ mod tests {
         // the window but is not a ternary match of "X1".
         let mut t = BehavioralTcam::new(2);
         t.store("X1".parse().unwrap());
-        let p = PackedRows::from_tcam(&t);
-        let r = RangeRows::from_packed(&p);
+        let r = BitSlices::from_tcam(&t);
         let q = PackedQuery::from_bits(&[true, false]); // level 2
         assert!(t.search(&[true, false]).matches.is_empty());
-        assert_eq!(r.search(&q), vec![0]);
+        assert_eq!(r.range_search(&q), vec![0]);
         let q0 = PackedQuery::from_bits(&[false, false]); // level 0 < lo
-        assert!(r.search(&q0).is_empty());
+        assert!(r.range_search(&q0).is_empty());
     }
 
     #[test]
-    fn explicit_windows_round_trip_and_match() {
-        let mut r = RangeRows::new(3);
-        r.push(&[(0, 1), (2, 2), (0, 3)]);
-        r.push(&[(1, 3), (0, 0), (2, 3)]);
-        assert_eq!(r.window(0, 1), (2, 2));
-        assert_eq!(r.window(1, 2), (2, 3));
+    fn ternary_rows_induce_windows_and_match() {
+        // "0X10XX" = windows [0,1] [2,2] [0,3]; "X1001X" = [1,3] [0,0]
+        // [2,3].
+        let mut t = BehavioralTcam::new(6);
+        t.store("0X10XX".parse().unwrap());
+        t.store("X1001X".parse().unwrap());
+        assert_eq!(word_windows(&t.rows()[0]), vec![(0, 1), (2, 2), (0, 3)]);
+        assert_eq!(word_windows(&t.rows()[1]), vec![(1, 3), (0, 0), (2, 3)]);
         // Query levels [1, 2, 3] → inside row 0, outside row 1 (cell 1).
         let q = PackedQuery::from_bits(&[false, true, true, false, true, true]);
         assert_eq!(query_levels(&q), vec![1, 2, 3]);
-        assert_eq!(r.search(&q), vec![0]);
+        assert_eq!(levels_to_query(&[1, 2, 3]), q);
+        assert_eq!(BitSlices::from_tcam(&t).range_search(&q), vec![0]);
     }
 
     #[test]
@@ -707,10 +541,10 @@ mod tests {
         // 33 cells → 66 digits → 2 words per row; the 31 tail lanes of
         // word 1 must stay permissive.
         let cells = 33;
-        let mut r = RangeRows::new(cells);
-        r.push(&vec![(1u8, 2u8); cells]);
-        let bits: Vec<bool> = (0..2 * cells).map(|i| i % 2 == 1).collect(); // all level 1
-        let q = PackedQuery::from_bits(&bits);
-        assert_eq!(r.search(&q), vec![0]);
+        let mut t = BehavioralTcam::new(2 * cells);
+        t.store("X1".repeat(cells).parse().unwrap()); // every cell [1, 3]
+        t.store("0X".repeat(cells).parse().unwrap()); // every cell [0, 1]
+        let q = levels_to_query(&vec![1; cells]);
+        assert_eq!(BitSlices::from_tcam(&t).range_search(&q), vec![0, 1]);
     }
 }

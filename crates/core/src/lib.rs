@@ -44,7 +44,6 @@ pub mod write_array;
 
 pub use approx::{
     levels_to_query, merge_top_k, row_distance, row_in_windows, threshold_search, top_k, ApproxHit,
-    RangeRows,
 };
 pub use array::{build_search_row, SearchRun, SearchSim};
 pub use behav::{BehavioralTcam, SearchOutcome};

@@ -21,7 +21,9 @@
 //!   in-software analogue of the paper's early-termination search.
 //!   Step-2 survivors (popcount of the accumulator) are verified
 //!   row-major, which is exact and cheap because the step-1 miss rate
-//!   of real workloads leaves few survivors.
+//!   of real workloads leaves few survivors. FeCAM range search
+//!   ([`BitSlices::range_search`]) reuses the same step-1 sweep as its
+//!   pre-filter, so the planes serve both modes.
 //!
 //! Both return the same [`SearchOutcome`] as [`BehavioralTcam::search`],
 //! bit-identically — including per-step miss counts, which is what the
@@ -512,22 +514,17 @@ impl BitSlices {
         }
     }
 
-    /// Early-terminating two-step search, bit-identical to
-    /// [`BehavioralTcam::search`] (matches ascending, exact per-step
-    /// miss counts).
-    ///
-    /// # Panics
-    /// Panics on query-width mismatch.
-    #[must_use]
-    #[allow(clippy::missing_panics_doc)]
-    pub fn search(&self, q: &PackedQuery) -> SearchOutcome {
-        assert_eq!(q.width(), self.packed.width(), "query width mismatch");
-        let mut out = SearchOutcome::empty();
-        let rows = self.packed.rows();
+    /// Step 1 of the two-step search: the AND-chain over the
+    /// even-digit planes, block by block with early termination. Calls
+    /// `survivor` for every row whose even digits all match the query,
+    /// in ascending row order. Zero-width rows survive vacuously.
+    #[inline]
+    fn step1_sweep(&self, q: &PackedQuery, mut survivor: impl FnMut(usize)) {
         if self.packed.width() == 0 {
-            // Zero-width rows match every query vacuously.
-            out.matches.extend(0..rows);
-            return out;
+            // No planes to AND: padding could not die, so emit the
+            // stored rows directly.
+            (0..self.packed.rows()).for_each(survivor);
+            return;
         }
         let evens = self.evens;
         let per_block = self.packed.width() * 2 * WPB;
@@ -546,7 +543,6 @@ impl BitSlices {
             let qbit = (q.word(d / 64) >> (d % 64)) & 1;
             *s = i * 2 * WPB + (qbit as usize) * WPB;
         }
-        let mut survivors = 0usize;
         for b in 0..self.blocks {
             let bbase = b * per_block;
             let mut acc = [!0u64; WPB];
@@ -570,23 +566,65 @@ impl BitSlices {
                     }
                 }
             }
-            // Step 2: verify the step-1 survivors row-major.
             for (w, &a) in acc.iter().enumerate() {
                 let mut bits = a;
                 while bits != 0 {
-                    let row = b * ROWS_PER_BLOCK + w * 64 + bits.trailing_zeros() as usize;
+                    survivor(b * ROWS_PER_BLOCK + w * 64 + bits.trailing_zeros() as usize);
                     bits &= bits - 1;
-                    survivors += 1;
-                    if self.packed.classify(row, q).1 {
-                        out.step2_misses += 1;
-                    } else {
-                        out.matches.push(row);
-                    }
                 }
             }
         }
-        out.step1_misses = rows - survivors;
+    }
+
+    /// Early-terminating two-step search, bit-identical to
+    /// [`BehavioralTcam::search`] (matches ascending, exact per-step
+    /// miss counts).
+    ///
+    /// # Panics
+    /// Panics on query-width mismatch.
+    #[must_use]
+    pub fn search(&self, q: &PackedQuery) -> SearchOutcome {
+        assert_eq!(q.width(), self.packed.width(), "query width mismatch");
+        let mut out = SearchOutcome::empty();
+        let mut survivors = 0usize;
+        // Step 2: verify the step-1 survivors row-major.
+        self.step1_sweep(q, |row| {
+            survivors += 1;
+            if self.packed.classify(row, q).1 {
+                out.step2_misses += 1;
+            } else {
+                out.matches.push(row);
+            }
+        });
+        out.step1_misses = self.packed.rows() - survivors;
         out
+    }
+
+    /// FeCAM range search: every row whose per-cell windows contain the
+    /// query's levels, ascending (the predicate of
+    /// [`crate::approx::row_in_windows`]). A level can fall inside a
+    /// cell's window only if the cell's high digit — digit `2j`, an
+    /// even digit — matches the query's high bit, so the step-1 sweep
+    /// is a sound pre-filter; its few survivors take the SWAR window
+    /// test row-major.
+    ///
+    /// # Panics
+    /// Panics on query-width mismatch or odd width (range cells pair
+    /// digits).
+    #[must_use]
+    pub fn range_search(&self, q: &PackedQuery) -> Vec<usize> {
+        assert_eq!(q.width(), self.packed.width(), "query width mismatch");
+        assert!(
+            self.packed.width().is_multiple_of(2),
+            "range cells pair digits; width must be even"
+        );
+        let mut hits = Vec::new();
+        self.step1_sweep(q, |row| {
+            if crate::approx::row_in_range(&self.packed, row, q) {
+                hits.push(row);
+            }
+        });
+        hits
     }
 }
 

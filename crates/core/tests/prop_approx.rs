@@ -4,10 +4,12 @@
 //! all-wildcard rows and zero-care corpora), threshold search ≡ a
 //! `distance ≤ t` filter over the oracle, top-k ≡ the sorted prefix of
 //! [`BehavioralTcam::nearest`] with its `(distance, row)` tie-break,
-//! and the SWAR range kernel ≡ a per-cell window comparison.
+//! the block-scan Hamming kernels ≡ [`approx::row_distance`] across
+//! 64- and 512-row block edges, and the sliced range search ≡ a
+//! per-cell window comparison ≡ the scalar digit-case check.
 
-use ferrotcam::approx::{self, ApproxHit, RangeRows};
-use ferrotcam::{BehavioralTcam, PackedQuery, PackedRows, Ternary, TernaryWord};
+use ferrotcam::approx::{self, ApproxHit};
+use ferrotcam::{BehavioralTcam, BitSlices, PackedQuery, PackedRows, Ternary, TernaryWord};
 use proptest::prelude::*;
 
 fn ternary_digit() -> impl Strategy<Value = Ternary> {
@@ -30,11 +32,6 @@ fn width() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Even widths only (range mode pairs digits into 4-level cells).
-fn even_width() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(2usize), Just(8), Just(64), Just(66), Just(130)]
-}
-
 fn corpus_and_query() -> impl Strategy<Value = (usize, Vec<Vec<Ternary>>, Vec<bool>)> {
     width().prop_flat_map(|w| {
         (
@@ -43,6 +40,94 @@ fn corpus_and_query() -> impl Strategy<Value = (usize, Vec<Vec<Ternary>>, Vec<bo
             proptest::collection::vec(any::<bool>(), w),
         )
     })
+}
+
+/// Range widths: zero, one cell, just under, at and over the word
+/// boundary, and three words.
+fn range_width() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        Just(2),
+        Just(62),
+        Just(64),
+        Just(66),
+        Just(130)
+    ]
+}
+
+/// Row counts around the 512-row plane block: small tails, one block
+/// short of, at and past the boundary, and a full block plus a tail.
+fn block_rows() -> impl Strategy<Value = usize> {
+    prop_oneof![0usize..40, Just(511), Just(512), 513usize..1100]
+}
+
+/// `n` seeded rows of `width` digits, every seventh one all `X`. The
+/// rest follow `base` (random bits where `base` is empty), each digit
+/// flipped with `flip_pct`% and wildcarded with `x_pct`% probability.
+fn seeded_rows(
+    width: usize,
+    n: usize,
+    x_pct: u64,
+    flip_pct: u64,
+    base: &[bool],
+    seed: u64,
+) -> Vec<Vec<Ternary>> {
+    let mut state = seed ^ 0xA5A5_5A5A;
+    (0..n)
+        .map(|r| {
+            if r % 7 == 3 {
+                return vec![Ternary::X; width];
+            }
+            (0..width)
+                .map(|i| {
+                    let roll = rand::split_mix64(&mut state);
+                    let bit = base.get(i).map_or((roll >> 40) & 1 == 1, |&b| b);
+                    let bit = bit ^ (roll % 100 < flip_pct);
+                    if (roll >> 8) % 100 < x_pct {
+                        Ternary::X
+                    } else if bit {
+                        Ternary::One
+                    } else {
+                        Ternary::Zero
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Range probes: a random query, a stored row with its wildcards filled
+/// at random (in-window by construction), and near misses of that hit:
+/// its last digit flipped (the low digit of the last cell, at the word
+/// or tail boundary), a random low digit flipped (the step-1 sweep
+/// cannot reject those) and a random digit flipped.
+fn probe_queries(reference: &BehavioralTcam, width: usize, seed: u64) -> Vec<Vec<bool>> {
+    let mut state = seed ^ 0x5EED;
+    let mut out = vec![(0..width)
+        .map(|_| rand::split_mix64(&mut state) & 1 == 1)
+        .collect::<Vec<bool>>()];
+    if reference.is_empty() || width == 0 {
+        return out;
+    }
+    let r = (rand::split_mix64(&mut state) % reference.len() as u64) as usize;
+    let hit: Vec<bool> = reference.rows()[r]
+        .digits()
+        .iter()
+        .map(|&d| match d {
+            Ternary::One => true,
+            Ternary::Zero => false,
+            Ternary::X => rand::split_mix64(&mut state) & 1 == 1,
+        })
+        .collect();
+    let low = 2 * (rand::split_mix64(&mut state) % (width as u64 / 2).max(1)) as usize + 1;
+    let any = (rand::split_mix64(&mut state) % width as u64) as usize;
+    for flip in [width - 1, low.min(width - 1), any] {
+        let mut near = hit.clone();
+        near[flip] = !near[flip];
+        out.push(near);
+    }
+    out.push(hit);
+    out
 }
 
 fn build(width: usize, rows: &[Vec<Ternary>]) -> (BehavioralTcam, PackedRows) {
@@ -216,41 +301,92 @@ proptest! {
     }
 
     #[test]
-    fn range_kernel_equals_per_cell_oracle(
-        width in even_width(),
-        rows in proptest::collection::vec(
-            proptest::collection::vec(ternary_digit(), 130), 0..30),
-        query in proptest::collection::vec(any::<bool>(), 130),
+    fn range_search_equals_window_oracles(
+        width in range_width(),
+        n in block_rows(),
+        x_pct in 0u64..70,
+        seed in any::<u64>(),
     ) {
-        let rows: Vec<Vec<Ternary>> = rows.into_iter().map(|r| r[..width].to_vec()).collect();
-        let query = &query[..width];
+        let rows = seeded_rows(width, n, x_pct, 0, &[], seed);
         let (reference, packed) = build(width, &rows);
-        let ranged = RangeRows::from_packed(&packed);
-        let q = PackedQuery::from_bits(query);
-        let levels = approx::query_levels(&q);
-        let want: Vec<usize> = reference
-            .rows()
-            .iter()
+        let slices = BitSlices::build(packed.clone());
+        for (i, query) in probe_queries(&reference, width, seed).iter().enumerate() {
+            let q = PackedQuery::from_bits(query);
+            let got = slices.range_search(&q);
+            // The naive per-cell definition: every query level inside
+            // the window its stored digit pair induces.
+            let levels = approx::query_levels(&q);
+            let naive: Vec<usize> = reference
+                .rows()
+                .iter()
+                .enumerate()
+                .filter(|(_, row)| {
+                    approx::word_windows(row)
+                        .iter()
+                        .zip(&levels)
+                        .all(|(&(lo, hi), &l)| lo <= l && l <= hi)
+                })
+                .map(|(r, _)| r)
+                .collect();
+            prop_assert_eq!(&got, &naive, "query {}", i);
+            // The scalar digit-case check (the reference walk's oracle)
+            // is a second, independent witness.
+            let scalar: Vec<usize> = (0..packed.rows())
+                .filter(|&r| approx::row_in_windows(&packed, r, &q))
+                .collect();
+            prop_assert_eq!(&got, &scalar, "query {}", i);
+            // Range match is implied by ternary match: every exact
+            // match is inside its own windows.
+            for m in reference.search(query).matches {
+                prop_assert!(got.binary_search(&m).is_ok(), "exact match {} must be in-window", m);
+            }
+        }
+    }
+
+    #[test]
+    fn block_scans_equal_row_distance_at_block_edges(
+        width in width(),
+        chunk in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(512), Just(513)],
+        n_chunks in 1usize..4,
+        x_pct in 0u64..50,
+        flip_pct in 0u64..30,
+        seed in any::<u64>(),
+    ) {
+        // Rows are noisy copies of the query so distances sit near the
+        // small thresholds served traffic uses, with ties.
+        let mut state = seed;
+        let query: Vec<bool> =
+            (0..width).map(|_| rand::split_mix64(&mut state) & 1 == 1).collect();
+        let q = PackedQuery::from_bits(&query);
+        let rows = seeded_rows(width, chunk * n_chunks, x_pct, flip_pct, &query, seed);
+        let chunks: Vec<(usize, PackedRows)> = rows
+            .chunks(chunk)
             .enumerate()
-            .filter(|(_, row)| {
-                approx::word_windows(row)
+            .map(|(c, part)| (c * chunk, build(width, part).1))
+            .collect();
+        let mut all: Vec<ApproxHit> = Vec::new();
+        for (base, p) in &chunks {
+            all.extend((0..p.rows()).map(|r| ApproxHit {
+                row: base + r,
+                distance: approx::row_distance(p, r, &q),
+            }));
+        }
+        let mid = (rand::split_mix64(&mut state) % (width as u64 + 1)) as u32;
+        for t in [0, 1, 2, mid, width as u32, u32::MAX] {
+            for (base, p) in &chunks {
+                let want: Vec<ApproxHit> = all
                     .iter()
-                    .zip(&levels)
-                    .all(|(&(lo, hi), &l)| lo <= l && l <= hi)
-            })
-            .map(|(r, _)| r)
-            .collect();
-        prop_assert_eq!(ranged.search(&q), want);
-        // The scalar digit-case check (the audit lane's oracle) is a
-        // third witness of the same predicate.
-        let scalar: Vec<usize> = (0..packed.rows())
-            .filter(|&r| approx::row_in_windows(&packed, r, &q))
-            .collect();
-        prop_assert_eq!(scalar, want);
-        // Range match is implied by ternary match: every exact match
-        // is inside its own windows.
-        for m in reference.search(query).matches {
-            prop_assert!(ranged.in_window(m, &q), "exact match {} must be in-window", m);
+                    .filter(|h| h.row >= *base && h.row < base + p.rows() && h.distance <= t)
+                    .map(|h| ApproxHit { row: h.row - base, distance: h.distance })
+                    .collect();
+                prop_assert_eq!(approx::threshold_search(p, &q, t), want, "t = {}", t);
+            }
+        }
+        all.sort_unstable();
+        let n = all.len();
+        for k in [0, 1, 8, 64, n, n + 5] {
+            let got = approx::top_k_chunked(chunks.iter().map(|(b, p)| (*b, p)), &q, k);
+            prop_assert_eq!(&got[..], &all[..k.min(n)], "k = {}", k);
         }
     }
 

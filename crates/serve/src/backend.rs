@@ -2,8 +2,9 @@
 //!
 //! Every query batch runs on one engine: word-parallel bit-sliced
 //! kernels ([`ferrotcam::BitSlices`]) that evaluate 64 rows per machine
-//! word with `(query ^ value) & care` over pre-transposed match planes,
-//! plus the block-scan Hamming and lane-packed range kernels.
+//! word with `(query ^ value) & care` over pre-transposed match planes
+//! (exact search and range search share them), plus the block-scan
+//! Hamming kernels.
 //!
 //! Beside it sits the **reference walk** ([`reference_search`]): a
 //! scalar row-by-row pass over the stored packed words (two-step
@@ -148,9 +149,17 @@ fn reference_shard(
     sense: Option<&SenseModel>,
 ) -> ShardAnswer {
     let snap = view.shard(s);
-    let accept = |d: u32, t: u32| match sense {
-        Some(model) => model.discharge_time(d) > model.sense_time(t),
-        None => d <= t,
+    // A threshold row's verdict depends only on its distance, so decide
+    // each possible distance once rather than once per row (a sense
+    // model lookup costs tens of ns).
+    let accepted: Vec<bool> = match kind {
+        RequestKind::Threshold { t } => (0..=snap.width() as u32)
+            .map(|d| match sense {
+                Some(model) => model.discharge_time(d) > model.sense_time(t),
+                None => d <= t,
+            })
+            .collect(),
+        _ => Vec::new(),
     };
     let mut outcome = SearchOutcome::empty();
     let mut hits = Vec::new();
@@ -164,10 +173,10 @@ fn reference_shard(
                 }
                 outcome.absorb(o);
             }
-            RequestKind::Threshold { t } => {
+            RequestKind::Threshold { .. } => {
                 for l in 0..p.rows() {
                     let d = row_distance(p, l, query);
-                    if accept(d, t) {
+                    if accepted[d as usize] {
                         let row = view.global_row(s, base + l);
                         outcome.matches.push(row);
                         hits.push(ApproxHit { row, distance: d });
@@ -198,10 +207,15 @@ fn reference_shard(
         }
     }
     // Global ids preserve the shard-local (distance, row) order, so the
-    // shard's own top-k is already globally fair.
+    // shard's own top-k is already globally fair. Selecting the k best
+    // under that total order and sorting only them gives the same list
+    // as a full sort, in linear time.
     if let RequestKind::TopK { k } = kind {
+        if k < hits.len() {
+            hits.select_nth_unstable(k);
+            hits.truncate(k);
+        }
         hits.sort_unstable();
-        hits.truncate(k);
     }
     ShardAnswer { outcome, hits }
 }
@@ -249,11 +263,11 @@ pub fn reference_search(
 
 /// One job on one shard through the bit-parallel kernels, with global
 /// row ids. Every snapshot block already holds its bit-sliced match
-/// planes (word-parallel step-1 rejection with a row-major step-2
-/// verify of the survivors), the packed words the popcount Hamming
-/// kernel scans, and (for even widths) the lane-packed `[lo,hi]` window
-/// table — all maintained incrementally by the copy-on-write shard
-/// snapshots, so nothing is transposed per batch.
+/// planes and the packed words behind them, maintained incrementally by
+/// the copy-on-write shard snapshots, so nothing is transposed per
+/// batch. Exact and range search share the planes' early-terminating
+/// step-1 sweep (range checks its few survivors with the SWAR window
+/// test); the popcount Hamming kernels scan the packed words.
 fn kernel_shard(view: &SnapView, s: usize, kind: RequestKind, q: &PackedQuery) -> ShardAnswer {
     let snap = view.shard(s);
     match kind {
@@ -308,10 +322,9 @@ fn kernel_shard(view: &SnapView, s: usize, kind: RequestKind, q: &PackedQuery) -
         RequestKind::Range => {
             let mut outcome = SearchOutcome::empty();
             for (base, blk) in snap.blocks() {
-                let ranges = blk.ranges().expect("range queries need an even word width");
                 outcome.matches.extend(
-                    ranges
-                        .search(q)
+                    blk.slices()
+                        .range_search(q)
                         .iter()
                         .map(|&l| view.global_row(s, base + l)),
                 );

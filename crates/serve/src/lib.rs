@@ -94,6 +94,6 @@ pub use service::{
     SearchResponse, ServiceClient, ServiceConfig, TcamService, Ticket, DEFAULT_MAX_BATCH,
 };
 pub use shard::{
-    hash_bits, hash_packed, EpochCell, LiveTable, RowBlock, ShardSnap, ShardedTcam, SnapView,
-    WriteAck, WriteOp, BLOCK_ROWS,
+    hash_bits, hash_packed, EpochCell, LiveTable, RangeView, RowBlock, ShardSnap, ShardedTcam,
+    SnapView, WriteAck, WriteOp, BLOCK_ROWS,
 };

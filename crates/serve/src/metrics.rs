@@ -15,6 +15,7 @@ use crate::request::{RequestKind, KIND_COUNT};
 use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 use ferrotcam_arch::sched::ScheduleOutcome;
 use serde::{Deserialize, Serialize};
+use std::time::Duration;
 
 // The histogram now lives in the simulator's trace layer so service
 // spans and engine spans share one implementation (and one unit
@@ -155,6 +156,11 @@ pub struct DispatcherStats {
     /// Parks ended by a waker's unpark (a submit, the drain, or a peer
     /// leaving), as opposed to a spurious return.
     pub wakeups: u64,
+    /// Wall time spent executing those batches (ns): the dispatcher's
+    /// busy time, the rest of its life being snooze and park. Absent in
+    /// snapshots taken before the field existed.
+    #[serde(default)]
+    pub busy_ns: u64,
 }
 
 /// Live counters behind one [`DispatcherStats`].
@@ -164,6 +170,7 @@ struct DispatcherCounters {
     steals: AtomicU64,
     parks: AtomicU64,
     wakeups: AtomicU64,
+    busy_ns: AtomicU64,
 }
 
 /// A point-in-time snapshot of everything the service measures,
@@ -367,6 +374,14 @@ impl MetricsCollector {
         }
     }
 
+    /// Dispatcher `me` spent `busy` executing one batch.
+    pub fn on_busy(&self, me: usize, busy: Duration) {
+        if let Some(d) = self.dispatchers.get(me) {
+            let ns = u64::try_from(busy.as_nanos()).unwrap_or(u64::MAX);
+            d.busy_ns.fetch_add(ns, Ordering::Relaxed); // ordering: stat-relaxed
+        }
+    }
+
     /// Dispatcher `me` parked and came back, `woken` by an unpark.
     pub fn on_park(&self, me: usize, woken: bool) {
         if let Some(d) = self.dispatchers.get(me) {
@@ -536,6 +551,7 @@ impl MetricsCollector {
                     steals: d.steals.load(Ordering::Relaxed),   // ordering: stat-relaxed
                     parks: d.parks.load(Ordering::Relaxed),     // ordering: stat-relaxed
                     wakeups: d.wakeups.load(Ordering::Relaxed), // ordering: stat-relaxed
+                    busy_ns: d.busy_ns.load(Ordering::Relaxed), // ordering: stat-relaxed
                 })
                 .collect(),
         }
@@ -650,7 +666,10 @@ mod tests {
         c.on_dispatch(1, true);
         c.on_park(1, true);
         c.on_park(1, false);
+        c.on_busy(1, Duration::from_micros(3));
+        c.on_busy(1, Duration::from_nanos(250));
         c.on_dispatch(7, true); // no such dispatcher: ignored
+        c.on_busy(7, Duration::from_secs(1));
         let snap = c.snapshot(0);
         assert_eq!(
             snap.dispatchers,
@@ -664,6 +683,7 @@ mod tests {
                     steals: 1,
                     parks: 2,
                     wakeups: 1,
+                    busy_ns: 3250,
                 },
             ]
         );
@@ -674,6 +694,10 @@ mod tests {
         let old = format!("{}}}", json[..start].trim_end().trim_end_matches(','));
         let back: ServiceMetrics = serde_json::from_str(&old).unwrap();
         assert!(back.dispatchers.is_empty());
+        // So does a dispatcher entry from before `busy_ns` existed.
+        let legacy: DispatcherStats =
+            serde_json::from_str(r#"{"batches":1,"steals":0,"parks":0,"wakeups":0}"#).unwrap();
+        assert_eq!(legacy.busy_ns, 0);
     }
 
     #[test]

@@ -643,7 +643,9 @@ fn dispatch_loop(inner: &Inner, me: usize) {
         if !batch.is_empty() {
             idle_rounds = 0;
             inner.metrics.on_dispatch(me, stolen);
+            let started = Instant::now();
             execute_batch(inner, me, &mut batch, &mut audit_counter);
+            inner.metrics.on_busy(me, started.elapsed());
             continue;
         }
         if inner.gate.quiescent() && inner.queues.iter().all(BoundedQueue::is_empty) {

@@ -43,7 +43,6 @@
 
 use crate::request::RequestKind;
 use crate::sync::{AtomicU64, Mutex, Ordering};
-use ferrotcam::approx::RangeRows;
 use ferrotcam::fom::SearchMetrics;
 use ferrotcam::{
     BehavioralTcam, BitSlices, PackedQuery, PackedRows, RowWriteMetrics, SearchOutcome, TernaryWord,
@@ -239,21 +238,35 @@ impl ShardedTcam {
 pub const BLOCK_ROWS: usize = 512;
 
 /// One copy-on-write unit of a shard snapshot: up to [`BLOCK_ROWS`]
-/// rows as bit-sliced match planes (with the row-major packed words
-/// backing survivor verification and the scalar reference walks) plus,
-/// for even widths, the lane-packed `[lo, hi]` range table.
+/// rows as bit-sliced match planes, with the row-major packed words
+/// backing survivor verification, the Hamming kernels and the scalar
+/// reference walks. Exact, approximate and range search all read this
+/// one representation.
 #[derive(Debug, Clone)]
 pub struct RowBlock {
     slices: BitSlices,
-    /// `None` for odd widths (range mode pairs digits into cells).
-    ranges: Option<RangeRows>,
+}
+
+/// A block seen as a FeCAM range table: [`RangeView::search`] runs
+/// [`BitSlices::range_search`] on the block's sliced planes.
+#[derive(Debug, Clone, Copy)]
+pub struct RangeView<'a>(&'a BitSlices);
+
+impl RangeView<'_> {
+    /// Every in-window local row for the query, ascending.
+    ///
+    /// # Panics
+    /// Panics on query-width mismatch.
+    #[must_use]
+    pub fn search(&self, q: &PackedQuery) -> Vec<usize> {
+        self.0.range_search(q)
+    }
 }
 
 impl RowBlock {
     fn new(width: usize) -> Self {
         Self {
             slices: BitSlices::build(PackedRows::new(width)),
-            ranges: width.is_multiple_of(2).then(|| RangeRows::new(width / 2)),
         }
     }
 
@@ -282,10 +295,14 @@ impl RowBlock {
         self.slices.packed()
     }
 
-    /// The lane-packed range table; `None` for odd widths.
+    /// The block as a range table; `None` for odd widths (range mode
+    /// pairs digits into cells).
     #[must_use]
-    pub fn ranges(&self) -> Option<&RangeRows> {
-        self.ranges.as_ref()
+    pub fn ranges(&self) -> Option<RangeView<'_>> {
+        self.slices
+            .width()
+            .is_multiple_of(2)
+            .then_some(RangeView(&self.slices))
     }
 }
 
@@ -331,7 +348,6 @@ impl ShardSnap {
         for row in tcam.rows() {
             snap.push(row);
         }
-        snap.rebuild_unique_ranges();
         snap
     }
 
@@ -435,21 +451,6 @@ impl ShardSnap {
         self.rows -= 1;
     }
 
-    /// Rebuild the range table of every uniquely-owned block. A block
-    /// is uniquely owned exactly when this batch mutated it (untouched
-    /// blocks still share their `Arc` with the predecessor snapshot),
-    /// so this re-derives `[lo, hi]` windows only where rows changed —
-    /// once per batch, not once per write.
-    fn rebuild_unique_ranges(&mut self) {
-        for blk in &mut self.blocks {
-            if let Some(b) = Arc::get_mut(blk) {
-                if b.ranges.is_some() {
-                    b.ranges = Some(RangeRows::from_packed(b.slices.packed()));
-                }
-            }
-        }
-    }
-
     /// Apply one shard's slice of a write batch, in order.
     fn apply(&mut self, ops: &[LocalOp]) {
         for op in ops {
@@ -459,7 +460,6 @@ impl ShardSnap {
                 LocalOp::SwapRemove(row) => self.swap_remove(*row),
             }
         }
-        self.rebuild_unique_ranges();
     }
 }
 
@@ -869,7 +869,7 @@ impl SnapView {
 mod tests {
     use super::*;
     use crate::backend::reference_search;
-    use ferrotcam::DesignKind;
+    use ferrotcam::{row_in_windows, DesignKind};
 
     fn metrics() -> SearchMetrics {
         SearchMetrics {
@@ -1242,13 +1242,16 @@ mod tests {
                 assert_eq!(got.matches, want.matches, "round {round} shard {s}");
                 assert_eq!(got.step1_misses, want.step1_misses);
                 assert_eq!(got.step2_misses, want.step2_misses);
-                // Range tables stay current with the rows (even width).
+                // Range search on the post-write planes agrees with the
+                // scalar window oracle (even width).
+                let probe = PackedQuery::from_bits(&q);
                 for (_, blk) in snap.blocks() {
-                    let rebuilt = RangeRows::from_packed(blk.packed());
-                    let probe = PackedQuery::from_bits(&q);
+                    let want: Vec<usize> = (0..blk.len())
+                        .filter(|&l| row_in_windows(blk.packed(), l, &probe))
+                        .collect();
                     assert_eq!(
-                        blk.ranges().expect("even width has ranges").search(&probe),
-                        rebuilt.search(&probe),
+                        blk.slices().range_search(&probe),
+                        want,
                         "round {round} shard {s}"
                     );
                 }
